@@ -142,6 +142,8 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
     cubic.  The result is normalized to polynomial primitive (A, B, C); a
     normalized degree above pole_bound raises NotFoundError.
     """
+    if pole_bound < 0:
+        raise InputError("pole_bound must be nonnegative, got %d" % pole_bound)
     if E.field.char != 0:
         raise InputError("operators with exactness witnesses live in characteristic 0")
     if E.is_isotrivial():

@@ -45,6 +45,12 @@ def _require_charp(E: WeierstrassModel) -> int:
     return p
 
 
+def _require_n_max(n_max: int) -> None:
+    # a scan over no multiples would pass every check vacuously
+    if n_max < 1:
+        raise InputError("n_max must be at least 1, got %d" % n_max)
+
+
 def _short_with_point(E: WeierstrassModel, P: CurvePoint = None):
     if E.is_short:
         return E, P
@@ -349,6 +355,7 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     bound bookkeeping needs.
     """
     p = _require_charp(E)
+    _require_n_max(n_max)
     E, P = _short_with_point(E, P)
     if P.is_zero:
         raise InputError("the zero section cannot be scanned")
@@ -381,11 +388,18 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     psi = _division_values(a4.num, a6.num, x0.num, y0.num, n_max + 1)
     torsion_order = None
     iotas = {}
-    ns = [n for n in range(1, n_max + 1) if n % p]
-    for n in ns:
+    # x(nP) = phi_n / psi_n^2 with phi_n = x0 psi_n^2 - psi_(n+1) psi_(n-1);
+    # phi_n does not depend on the place, so it is built once per n
+    x_terms = []
+    for n in range(1, n_max + 1):
+        if n % p == 0:
+            continue
         if psi[n].is_zero():
             torsion_order = n if torsion_order is None else torsion_order
             continue
+        phi = x0.num * psi[n] * psi[n] - psi[n + 1] * psi[n - 1]
+        if not phi.is_zero():
+            x_terms.append((FieldElement(K, phi), FieldElement(K, psi[n])))
         if n >= 2:
             w = psi[n].gcd(psi[n].derivative())
             if not w.is_constant():
@@ -398,17 +412,8 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     for v in special:
         kv = twist_exponent(Escan, v)
         best = 0
-        for n in ns:
-            if psi[n].is_zero():
-                continue
-            phi = x0.num * psi[n] * psi[n] - psi[n + 1] * psi[n - 1]
-            if phi.is_zero():
-                continue
-            ox = (
-                ord_at(FieldElement(K, phi), v)
-                - 2 * ord_at(FieldElement(K, psi[n]), v)
-                + 2 * kv
-            )
+        for phi, psi_n in x_terms:
+            ox = ord_at(phi, v) - 2 * ord_at(psi_n, v) + 2 * kv
             if ox < 0:
                 if ox % 2:
                     raise ConsistencyError("odd pole order of x at %s" % v)
@@ -454,6 +459,7 @@ def descent_bound_report(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) ->
     contacts at orders beyond n_max are not claimed absent.
     """
     p = _require_charp(E)
+    _require_n_max(n_max)
     E, P = _short_with_point(E, P)
     bad = bad_places(E)
     for v, kt in bad:

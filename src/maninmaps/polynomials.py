@@ -8,10 +8,14 @@ structural equality is mathematical equality.
 
 Multiplication over F_p uses Kronecker substitution (pack coefficients into
 one big integer, multiply, unpack) which keeps the characteristic-p scans
-fast without any external dependency.  Factorization is complete over F_p
-(squarefree split, distinct-degree, equal-degree) and over Q uses squarefree
-decomposition, rational-root extraction and a Kronecker-style bounded-degree
-factor search, with modular degree patterns used to certify irreducibility.
+fast without any external dependency.  The F_p gcd packs one coefficient
+per byte for p < 16, where a Euclid step cannot carry between bytes (every
+byte stays below p^2 <= 255), so each step is one big-integer update and
+one ``bytes.translate``; larger primes use a list Euclid.  Factorization is
+complete over F_p (squarefree split, distinct-degree, equal-degree) and over
+Q uses squarefree decomposition, rational-root extraction and a
+Kronecker-style bounded-degree factor search, with modular degree patterns
+used to certify irreducibility.
 """
 
 from __future__ import annotations
@@ -262,10 +266,11 @@ class Poly:
 
     def __sub__(self, other):
         f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            f, [f.sub(self[i], other[i]) for i in range(n)]
-        )
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [f.zero] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = f.sub(out[i], c)
+        return Poly(f, out)
 
     def __neg__(self):
         f = self.field
@@ -415,6 +420,8 @@ class Poly:
             return b.monic()
         if b.is_zero():
             return a.monic()
+        if a.is_constant() or b.is_constant():
+            return Poly.one(self.field)
         if self.field.char == 0:
             return _gcd_qq(a, b)
         g = _gcd_mod_p(list(a.coeffs), list(b.coeffs), self.field.p)
@@ -550,27 +557,56 @@ _GCD_PRIMES = _large_primes()
 
 def _gcd_mod_p(fa: list, fb: list, p: int):
     """Monic gcd of the reductions mod p, as an int list."""
-    a = [c % p for c in fa]
-    b = [c % p for c in fb]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
+    a = _trim([c % p for c in fa])
+    b = _trim([c % p for c in fb])
+    if p < 16:
+        return _gcd_bytes(a, b, p)
     while b:
         inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
+        n = len(b)
+        while len(a) >= n:
             c = a[-1] * inv % p
-            if c:
-                off = len(a) - len(b)
-                for j, cb in enumerate(b):
-                    a[off + j] = (a[off + j] - c * cb) % p
-            while a and a[-1] == 0:
-                a.pop()
-            if not a:
-                break
+            off = len(a) - n
+            a[off:] = [(x - c * y) % p for x, y in zip(a[off:], b)]
+            _trim(a)
         a, b = b, a
+    if not a:
+        return []
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
+
+
+# _MOD_TABLES[p] maps a byte v to v mod p, for bytes.translate
+_MOD_TABLES = {p: bytes(v % p for v in range(256)) for p in range(2, 16)}
+
+
+def _gcd_bytes(a: list, b: list, p: int) -> list:
+    """Euclid over F_p, p < 16, on polynomials packed one coefficient per byte.
+
+    A polynomial is the int sum(c_i * 256**i) with every c_i in [0, p).  A
+    reduction step adds (p - c) * x**k * b, which leaves every byte at most
+    (p - 1) + (p - 1)**2 < p**2 <= 255, so no byte carries into the next;
+    one bytes.translate then reduces every byte mod p and zeroes the
+    leading one.  All per-step work is C-level big-int and bytes work.
+    """
+    table = _MOD_TABLES[p]
+    A = int.from_bytes(bytes(a), "little")
+    B = int.from_bytes(bytes(b), "little")
+    while B:
+        nb = (B.bit_length() + 7) >> 3
+        inv = pow(B >> (8 * nb - 8), -1, p)
+        na = (A.bit_length() + 7) >> 3
+        while na >= nb:
+            c = (A >> (8 * na - 8)) * inv % p
+            A += (p - c) * B << (8 * (na - nb))
+            A = int.from_bytes(A.to_bytes(na, "little").translate(table), "little")
+            na = (A.bit_length() + 7) >> 3
+        A, B = B, A
+    if not A:
+        return []
+    out = A.to_bytes((A.bit_length() + 7) >> 3, "little")
+    inv = pow(out[-1], -1, p)
+    return [c * inv % p for c in out]
 
 
 def _gcd_qq(a: Poly, b: Poly) -> Poly:
@@ -978,30 +1014,36 @@ def _factor_zz_squarefree(ints: list) -> list:
         return []
     if n == 1:
         return [_primitive(ints)]
-    best = None
-    usable = 0
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
-        if ints[-1] % p == 0:
-            continue
-        field = PrimeField(p)
-        fp = Poly.from_int_coeffs(field, ints).monic()
-        if fp.gcd(fp.derivative()).degree != 0:
-            continue
-        facs = _factor_fp_squarefree(fp)
-        if len(facs) == 1:
-            return [_primitive(ints)]
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
-        usable += 1
-        if usable >= 3:
-            break
-    if best is None:
-        raise InputError("no usable prime found for factorization")
-    p, facs = best
-    facs = sorted(facs, key=lambda g: (g.degree, g.coeffs))
+    # A prime is unusable when it divides lc * disc.  For squarefree input
+    # |lc * disc| <= |lc| n^n |f|_2^(2n-2), so once the unusable primes
+    # multiply past that bound the input cannot have been squarefree.
     norm2 = 1
     for c in ints:
         norm2 += c * c
+    unusable_bound = abs(ints[-1]) * n ** n * norm2 ** (n - 1)
+    unusable = 1
+    best = None
+    usable = 0
+    p = 3
+    while usable < 3:
+        p += 2
+        if not is_prime(p):
+            continue
+        if ints[-1] % p:
+            fp = Poly.from_int_coeffs(PrimeField(p), ints).monic()
+            if fp.gcd(fp.derivative()).degree == 0:
+                facs = _factor_fp_squarefree(fp)
+                if len(facs) == 1:
+                    return [_primitive(ints)]
+                if best is None or len(facs) < len(best[1]):
+                    best = (p, facs)
+                usable += 1
+                continue
+        unusable *= p
+        if best is None and unusable > unusable_bound:
+            raise InputError("no usable prime found: the polynomial is not squarefree")
+    p, facs = best
+    facs = sorted(facs, key=lambda g: (g.degree, g.coeffs))
     bound = (1 << n) * (_isqrt(norm2) + 1) * abs(ints[-1])
     target = 2 * bound + 1
     lifted = _lift_tree(list(ints), facs, p, target)

@@ -147,6 +147,24 @@ def test_exit_one_on_hypothesis_failure(capsys, tmp_path):
     assert "semistable" in doc["error"]
 
 
+def test_exit_two_on_vacuous_bounds(capsys, tmp_path):
+    # a scan over no multiples, or a negative pole bound, would make every
+    # check pass vacuously
+    for n_max in ("0", "-3"):
+        code, doc = run_json(capsys, "descent-bound", str(MANIFESTS / "legendre-f5.cfg"),
+                             "--n-max", n_max)
+        assert code == 2
+        assert "n_max" in doc["error"]
+    code, doc = run_json(capsys, "find-pf", str(MANIFESTS / "legendre.cfg"),
+                         "--pole-bound", "-1")
+    assert code == 2
+    assert "pole_bound" in doc["error"]
+    man = tmp_path / "zero-nmax.cfg"
+    man.write_text((MANIFESTS / "legendre-f5.cfg").read_text() + "\n[params]\nn_max = 0\n")
+    code, doc = run_json(capsys, "descent-bound", str(man))
+    assert code == 2
+
+
 def test_table_rendering(capsys):
     code = main(["invariants", str(MANIFESTS / "legendre.cfg"), "--table"])
     out = capsys.readouterr().out

@@ -191,6 +191,17 @@ def test_kodaira_good_generic_place(Kt):
     assert kodaira_type(E, place(Kt, [-7, 1])).symbol() == "I0"
 
 
+def test_bad_places_when_small_primes_divide_leading_coefficient(Kt):
+    # the discriminant's leading coefficient 27 N^2 is divisible by every
+    # prime 5..43, so factoring must draw its modular primes beyond them
+    t = Kt.gen
+    N = 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+    E = WeierstrassModel.short(Kt, Kt.one, N * t ** 2 - 1)
+    quartic = Kt.place(Kt.poly([31, 0, -54 * N, 0, 27 * N * N]))
+    got = {v: kt.symbol() for v, kt in bad_places(E)}
+    assert got == {quartic: "I1", Kt.infinity(): "IV*"}
+
+
 def test_kodaira_corpus_types():
     expected = {
         "legendre/F5": {"t": "I2", "t + 4": "I2", "infinity": "I2*"},

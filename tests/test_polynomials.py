@@ -164,3 +164,12 @@ def test_derivative_and_evaluate():
     F5 = PrimeField(5)
     g = Poly(F5, [0, 0, 0, 0, 0, 1])  # t^5
     assert g.derivative().is_zero()
+
+
+def test_factor_zz_refuses_non_squarefree_input():
+    # every prime divides lc * disc = 0, so the search for a usable prime
+    # must stop rather than run forever
+    from maninmaps.polynomials import _factor_zz_squarefree
+
+    with pytest.raises(InputError):
+        _factor_zz_squarefree([1, 2, 1])

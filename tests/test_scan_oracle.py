@@ -1,0 +1,159 @@
+"""The tangency scan against a test-only oracle: the per-place scan.
+
+``reference_tangency_scan`` is the scan as it was first written: for every
+special place it rebuilds x(nP) = phi_n / psi_n^2 for every multiple n and
+takes valuations of fresh field elements.  The library builds phi_n once per
+n; both must report the same contacts and torsion order.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from maninmaps import (
+    CurvePoint,
+    FieldElement,
+    PrimeField,
+    WeierstrassModel,
+    add,
+    divisor,
+    hasse_invariant_section,
+    kodaira_spencer_section,
+    tangency_scan,
+)
+from maninmaps.cli import Manifest
+from maninmaps.elliptic import curve_places, twist_exponent
+from maninmaps.errors import ConsistencyError, InputError
+from maninmaps.funcfield import ord_at, places_of_poly
+from maninmaps.pdescent import _division_values, _short_with_point
+from maninmaps.polynomials import Poly
+
+from conftest import legendre_cover_2, sextic_point_curve
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+def reference_tangency_scan(E, P, n_max, watch_places=()):
+    """(iotas, torsion_order) by the per-place loop over all multiples."""
+    p = E.field.char
+    E, P = _short_with_point(E, P)
+    K = E.field
+    need = {}
+    for den, w in ((E.a4.den, 4), (E.a6.den, 6), (P.x.den, 2), (P.y.den, 3)):
+        if den.is_one():
+            continue
+        for pi, e in places_of_poly(den, K):
+            need[pi] = max(need.get(pi, 0), -(-e // w))
+    cpoly = Poly.one(K.constants)
+    for pi, e in need.items():
+        cpoly = cpoly * pi.pi ** e
+    c = FieldElement(K, cpoly)
+    a4 = E.a4 * c ** 4
+    a6 = E.a6 * c ** 6
+    x0 = P.x * c ** 2
+    y0 = P.y * c ** 3
+    Escan = WeierstrassModel.short(K, a4, a6)
+
+    special = set(curve_places(Escan))
+    special.update(watch_places)
+    special.update(need)
+    special.add(K.infinity())
+
+    psi = _division_values(a4.num, a6.num, x0.num, y0.num, n_max + 1)
+    torsion_order = None
+    iotas = {}
+    ns = [n for n in range(1, n_max + 1) if n % p]
+    for n in ns:
+        if psi[n].is_zero():
+            torsion_order = n if torsion_order is None else torsion_order
+            continue
+        if n >= 2:
+            w = psi[n].gcd(psi[n].derivative())
+            if not w.is_constant():
+                for q, _ in places_of_poly(w, K):
+                    if q in special:
+                        continue
+                    iota = psi[n].multiplicity_of(q.pi)
+                    if iota > iotas.get(q, 0):
+                        iotas[q] = iota
+    for v in special:
+        kv = twist_exponent(Escan, v)
+        best = 0
+        for n in ns:
+            if psi[n].is_zero():
+                continue
+            phi = x0.num * psi[n] * psi[n] - psi[n + 1] * psi[n - 1]
+            if phi.is_zero():
+                continue
+            ox = (
+                ord_at(FieldElement(K, phi), v)
+                - 2 * ord_at(FieldElement(K, psi[n]), v)
+                + 2 * kv
+            )
+            if ox < 0:
+                if ox % 2:
+                    raise ConsistencyError("odd pole order of x at %s" % v)
+                best = max(best, -ox // 2)
+        if best:
+            iotas[v] = max(best, iotas.get(v, 0))
+    return iotas, torsion_order
+
+
+def _watch(E):
+    # the places descent_bound_report watches
+    lam = kodaira_spencer_section(E)
+    return set(divisor(lam).support()) | set(divisor(hasse_invariant_section(E)).support())
+
+
+def _criterion_7_cases():
+    E5, P5, _ = legendre_cover_2(PrimeField(5))
+    K5 = P5.x.field
+    t5 = -E5.c2 - 1
+    return [
+        ("legendre cover F5", (E5, P5)),
+        ("legendre cover F5, P + torsion", (E5, add(P5, CurvePoint(E5, t5, K5.zero)))),
+        ("legendre cover F7", legendre_cover_2(PrimeField(7))[:2]),
+        ("legendre cover F11", legendre_cover_2(PrimeField(11))[:2]),
+        ("sextic point curve F5", sextic_point_curve(5)),
+    ]
+
+
+def _manifest_cases():
+    out = []
+    for name in ("legendre-f5.cfg", "charp-3x.cfg"):
+        man = Manifest(str(MANIFESTS / name))
+        out.append((name, (man.model, man.pick_point())))
+    return out
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [pytest.param(curve, id=label) for label, curve in _criterion_7_cases() + _manifest_cases()],
+)
+def test_scan_matches_per_place_oracle(curve):
+    Es, Ps = _short_with_point(*curve)
+    watch = _watch(Es)
+    scan = tangency_scan(Es, Ps, 30, watch_places=watch)
+    iotas, torsion_order = reference_tangency_scan(Es, Ps, 30, watch_places=watch)
+    assert scan.iotas == iotas
+    assert scan.torsion_order == torsion_order
+
+
+def test_scan_oracle_sees_torsion():
+    # the 2-torsion point (t, 0) of the Legendre cover: every even multiple
+    # is the origin, and both scans report the order
+    E, P, _ = legendre_cover_2(PrimeField(7))
+    K = P.x.field
+    T = CurvePoint(E, -E.c2 - 1, K.zero)
+    Es, Ts = _short_with_point(E, T)
+    scan = tangency_scan(Es, Ts, 6)
+    iotas, torsion_order = reference_tangency_scan(Es, Ts, 6)
+    assert scan.torsion_order == torsion_order == 2
+    assert scan.iotas == iotas
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_scan_rejects_empty_range(n_max):
+    E, P, _ = legendre_cover_2(PrimeField(5))
+    with pytest.raises(InputError):
+        tangency_scan(E, P, n_max)
