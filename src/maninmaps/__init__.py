@@ -12,13 +12,11 @@ from .elliptic import (
     CurveFunction,
     CurvePoint,
     KodairaType,
-    LaurentSeries,
     WeierstrassModel,
     add,
     bad_places,
     deg_omega,
     discriminant,
-    expand_at_infinity,
     intersection_with_zero,
     j_invariant,
     kodaira_type,

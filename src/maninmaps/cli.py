@@ -12,7 +12,7 @@ command acts on.
 Every command prints one JSON document on standard output:
 {"command", "inputs", "results", "checks"}; --table renders the same data
 as text.  Exit codes: 0 success, 1 a mathematical hypothesis failed,
-2 unusable input.
+2 unusable input, 3 an internal invariant failed.
 """
 
 from __future__ import annotations
@@ -426,9 +426,12 @@ def run(command: str, manifest_path: str, args) -> tuple:
     except (ParseError, InputError) as exc:
         payload["error"] = str(exc)
         return 2, payload
-    except (HypothesisError, NotFoundError, ConsistencyError) as exc:
+    except (HypothesisError, NotFoundError) as exc:
         payload["error"] = str(exc)
         return 1, payload
+    except ConsistencyError as exc:
+        payload["error"] = str(exc)
+        return 3, payload
     except ZeroDivisionError as exc:
         payload["error"] = "division by zero in the computation: %s" % exc
         return 1, payload

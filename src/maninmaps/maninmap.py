@@ -42,7 +42,7 @@ from .sections import GradedSection, divisor
 class PFOperator:
     """L = A d^2 + B d + C with exactness witness F, for d = d/d(base var)."""
 
-    __slots__ = ("A", "B", "C", "F")
+    __slots__ = ("A", "B", "C", "F", "_verified")
 
     def __init__(self, A: FieldElement, B: FieldElement, C: FieldElement,
                  F: CurveFunction):
@@ -52,6 +52,7 @@ class PFOperator:
         self.B = B
         self.C = C
         self.F = F
+        self._verified = None
 
     @property
     def model(self) -> WeierstrassModel:
@@ -115,22 +116,18 @@ def _exactness_holds(E: WeierstrassModel, L: PFOperator) -> bool:
     return NL * RD == RN * DL
 
 
-_VERIFIED: dict = {}
-
-
 def verify_pf(E: WeierstrassModel, L: PFOperator) -> bool:
-    """Whether L(dx/y) = dF holds exactly on E (with d x = 0)."""
+    """Whether L(dx/y) = dF holds exactly on E (with d x = 0).
+
+    Only E == L.model gets past the first checks, so the answer is kept on L.
+    """
     if E.field.char != 0:
         raise InputError("operators with exactness witnesses live in characteristic 0")
     if L.F.model != E:
         return False
-    key = (id(L), E)
-    cached = _VERIFIED.get(key)
-    if cached is not None and cached[0] is L:
-        return cached[1]
-    ok = _exactness_holds(E, L)
-    _VERIFIED[key] = (L, ok)
-    return ok
+    if L._verified is None:
+        L._verified = _exactness_holds(E, L)
+    return L._verified
 
 
 def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:

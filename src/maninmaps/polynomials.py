@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 
 
 # ---------------------------------------------------------------------------

@@ -225,3 +225,16 @@ def test_cover_chain_two_steps(capsys, tmp_path):
     code, doc = run_json(capsys, "invariants", str(man))
     assert code == 0
     assert len(doc["inputs"]["cover"]) == 2
+
+
+def test_exit_three_on_internal_inconsistency(capsys, monkeypatch):
+    from maninmaps import cli
+    from maninmaps.errors import ConsistencyError
+
+    def broken(man, args):
+        raise ConsistencyError("sum of minimal discriminant orders is not 12-divisible")
+
+    monkeypatch.setitem(cli._HANDLERS, "invariants", broken)
+    code, doc = run_json(capsys, "invariants", str(MANIFESTS / "legendre.cfg"))
+    assert code == 3
+    assert "12-divisible" in doc["error"]

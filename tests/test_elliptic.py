@@ -13,13 +13,13 @@ from maninmaps import (
     add,
     bad_places,
     deg_omega,
-    expand_at_infinity,
     intersection_with_zero,
     kodaira_type,
     minimal_model_at,
     negate,
     ord_at,
     parse_curve_function,
+    parse_element,
     scalar_mul,
     value_at_O,
 )
@@ -31,6 +31,7 @@ from conftest import (
     place,
     reduction_corpus,
 )
+from series_oracle import expand_at_infinity, series_value_at_O
 
 
 @pytest.fixture
@@ -316,6 +317,39 @@ def test_value_at_O_pole(Kt):
     g = parse_curve_function("x", E)
     with pytest.raises(HypothesisError):
         value_at_O(g)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("y/x", None),  # y-part of order -1: a pole
+        ("y/x^2", "0"),  # y-part of order +1: vanishes
+        ("(2*x + t)/(x - 1)", "2"),  # x-part of order 0: the leading ratio
+        ("x", None),  # x-part of order -2: a pole
+        ("0", "0"),
+        ("t/x + y/x^3", "0"),
+        ("(t*x^2 + 1)/(3*x^2 - x) + y/(x^2 + t)", "t/3"),
+    ],
+)
+def test_value_at_O_branches_match_series(Kt, text, expected):
+    E = legendre(Kt)
+    g = parse_curve_function(text, E)
+    if expected is None:
+        with pytest.raises(HypothesisError):
+            value_at_O(g)
+        with pytest.raises(HypothesisError):
+            series_value_at_O(g)
+    else:
+        want = parse_element(expected, Kt)
+        assert value_at_O(g) == want
+        assert series_value_at_O(g) == want
+
+
+def test_evaluate_refuses_the_origin(Kt):
+    E = legendre(Kt)
+    g = parse_curve_function("y/x^2", E)
+    with pytest.raises(InputError, match="value_at_O"):
+        g.evaluate(CurvePoint.zero(E))
 
 
 def test_series_multiplicativity(Kt):

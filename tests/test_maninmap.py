@@ -88,6 +88,27 @@ def test_verify_rejects_perturbations(base, Kt):
     assert rejected == 20
 
 
+def test_verify_pf_checks_each_operator_once(base, Kt, monkeypatch):
+    import maninmaps.maninmap as mm
+
+    E, L = base
+    calls = []
+    inner = mm._exactness_holds
+
+    def counting(E, L):
+        calls.append(L)
+        return inner(E, L)
+
+    monkeypatch.setattr(mm, "_exactness_holds", counting)
+    L = PFOperator(L.A, L.B, L.C, L.F)
+    assert verify_pf(E, L) and verify_pf(E, L)
+    assert len(calls) == 1
+    # a model other than the witness's is refused before any exactness work
+    assert not verify_pf(legendre(Kt).rescale(Kt.from_int(2)), L)
+    assert len(calls) == 1
+    assert not hasattr(mm, "_VERIFIED")
+
+
 def test_verify_allows_constant_shift_of_witness(base, Kt):
     # adding a constant to F changes nothing: dF is untouched
     E, L = base

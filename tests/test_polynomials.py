@@ -173,3 +173,15 @@ def test_factor_zz_refuses_non_squarefree_input():
 
     with pytest.raises(InputError):
         _factor_zz_squarefree([1, 2, 1])
+
+
+def test_lift_tree_reports_non_coprime_factors():
+    # x + 1 twice is not a coprime factorization of (x + 1)^2 mod 5: the
+    # lifting tree must name the broken invariant, not fail on a lookup
+    from maninmaps.errors import ConsistencyError
+    from maninmaps.polynomials import _lift_tree
+
+    F5 = PrimeField(5)
+    x1 = Poly(F5, [1, 1])
+    with pytest.raises(ConsistencyError):
+        _lift_tree([1, 2, 1], [x1, x1], 5, 1000)
