@@ -674,21 +674,6 @@ class RatX:
             self.den * self.den,
         )
 
-    def map_coeffs(self, fn, field=None):
-        """Coefficient-wise map; for d/dt this is the derivative with x fixed."""
-        f = field or self.field
-        num = self.num.map_coeffs(fn, f)
-        dden = self.den.map_coeffs(fn, f)
-        return num, dden
-
-    def derive_t(self):
-        """d/dt with x treated as a constant (quotient rule in the coefficients)."""
-        dn = self.num.map_coeffs(lambda c: c.derive())
-        dd = self.den.map_coeffs(lambda c: c.derive())
-        return RatX(
-            self.field, dn * self.den - self.num * dd, self.den * self.den
-        )
-
     def evaluate(self, point: FieldElement) -> FieldElement:
         dval = self.den.evaluate(point)
         if dval.is_zero():
@@ -728,18 +713,10 @@ class Residue:
         return num * den_inv % pi
 
     def _inv_poly(self, a: Poly) -> Poly:
-        pi = self.place.pi
-        # extended Euclid in k[t] modulo the irreducible pi
-        r0, r1 = pi, a % pi
-        s0, s1 = Poly.zero(self.constants), Poly.one(self.constants)
-        if r1.is_zero():
+        g, _, inv = self.place.pi.xgcd(a % self.place.pi)
+        if not g.is_one():
             raise ZeroDivisionError("inverting zero in the residue field")
-        while not r1.is_constant():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        inv = self.constants.inv(r1.coeffs[0])
-        return s1.scale(inv) % pi
+        return inv  # already reduced: Euclid cofactors have deg < deg pi
 
     # raw residue values: Poly (finite place) or constant (infinity)
 

@@ -23,9 +23,9 @@ from .elliptic import (
     RatX,
     WeierstrassModel,
     XPoly,
-    bad_places,
     curve_places,
     deg_omega,
+    kodaira_type,
     value_at_O,
 )
 from .errors import ConsistencyError, HypothesisError, InputError, NotFoundError
@@ -340,15 +340,16 @@ def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
     j = E.j_invariant()
     jp = j.derive()
     j1728 = j - K.from_int(1728)
-    hints = [v.pi for v in curve_places(E) if v.pi is not None]
-    candidates = list(curve_places(E))
+    places = curve_places(E)
+    hints = [v.pi for v in places if v.pi is not None]
+    candidates = list(places)
     seen = set(candidates)
     for poly in (j.num, j1728.num, jp.num):
         for v, _ in places_of_poly(poly, K, hints=hints):
             if v not in seen:
                 candidates.append(v)
                 seen.add(v)
-    bad = {v for v, _ in bad_places(E)}
+    bad = {v for v in places if not kodaira_type(E, v).is_good}
     entries = []
     for v in candidates:
         if v in bad:

@@ -6,20 +6,26 @@ ascending coefficient tuple with no trailing zeros; the empty tuple is the
 zero polynomial.  All operations are pure and results are canonical, so
 structural equality is mathematical equality.
 
-Multiplication over F_p uses Kronecker substitution (pack coefficients into
-one big integer, multiply, unpack) which keeps the characteristic-p scans
-fast without any external dependency.  The F_p gcd packs one coefficient
-per byte for p < 16, where a Euclid step cannot carry between bytes (every
-byte stays below p^2 <= 255), so each step is one big-integer update and
-one ``bytes.translate``; larger primes use a list Euclid.  Factorization is
+All modular arithmetic runs on one set of list kernels over Z/mZ, with m = p
+or m = p^k: ``_add_mod``, ``_sub_mod``, ``_mul_mod`` (Kronecker substitution:
+pack coefficients into one big integer, multiply, unpack) and ``_divmod_mod``.
+``Poly`` multiplication and division over F_p, the multiplicity of a
+non-linear factor, Hensel lifting and factor recombination over Z/p^kZ all
+use them.  Input-specific fast paths sit beside them: the F_p gcd packs one
+coefficient per byte for p < 16, where a Euclid step cannot carry between
+bytes (every byte stays below p^2 <= 255), so each step is one big-integer
+update and one ``bytes.translate``; larger primes use a list Euclid; the
+multiplicity of a monic linear factor is a Horner loop.  Factorization is
 complete over F_p (squarefree split, distinct-degree, equal-degree) and over
-Q uses squarefree decomposition, rational-root extraction and a
-Kronecker-style bounded-degree factor search, with modular degree patterns
-used to certify irreducibility.
+Q uses squarefree decomposition, a Hensel-lifted modular factorization and
+subset recombination (Zassenhaus), with modular degree patterns used to
+certify irreducibility.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -54,12 +60,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ class Poly:
             c = b[0]
             return Poly(f, [f.mul(c, x) for x in a])
         if f.char:
-            return Poly(f, _mul_fp(f.p, a, b))
+            return Poly(f, _mul_mod(a, b, f.p))
         return Poly(f, _mul_qq(a, b))
 
     def scale(self, c):
@@ -320,21 +320,12 @@ class Poly:
         if other.is_constant():
             inv = f.inv(other.coeffs[0])
             return self.scale(inv), Poly.zero(f)
-        if f.char == 0 and len(self.coeffs) >= len(other.coeffs):
-            return self._divmod_qq(other)
-        r = list(self.coeffs)
-        d = other.degree
-        lc_inv = f.inv(other.leading)
-        q = [f.zero] * max(0, len(r) - d)
-        for i in range(len(r) - 1 - d, -1, -1):
-            c = r[i + d]
-            if c == f.zero:
-                continue
-            c = f.mul(c, lc_inv)
-            q[i] = c
-            for j, oc in enumerate(other.coeffs):
-                r[i + j] = f.sub(r[i + j], f.mul(c, oc))
-        return Poly(f, q), Poly(f, r[:d])
+        if f.char:
+            q, r = _divmod_mod(self.coeffs, other.coeffs, f.p)
+            return Poly(f, q), Poly(f, r)
+        if len(self.coeffs) < len(other.coeffs):
+            return Poly.zero(f), self
+        return self._divmod_qq(other)
 
     def _divmod_qq(self, other):
         # fraction-free pseudo-division over Z; denominators restored at the end
@@ -427,6 +418,20 @@ class Poly:
         g = _gcd_mod_p(list(a.coeffs), list(b.coeffs), self.field.p)
         return Poly(self.field, g)
 
+    def xgcd(self, other):
+        """(g, s, t) with s*self + t*other = g, the monic gcd; not both zero."""
+        f = self.field
+        r0, r1 = self, other
+        s0, s1 = Poly.one(f), Poly.zero(f)
+        t0, t1 = Poly.zero(f), Poly.one(f)
+        while not r1.is_zero():
+            q, r = divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        inv = f.inv(r0.leading)
+        return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+
     def __str__(self):
         return self.to_str("x")
 
@@ -463,14 +468,14 @@ class Poly:
 
 
 def _multiplicity_fp(a: list, b: list, p: int) -> int:
-    """Multiplicity of b in a over F_p by repeated in-place synthetic division.
+    """Multiplicity of b in a over F_p by repeated division.
 
     Valuations in the division-value scans can be quadratic in the multiple,
-    so the per-division overhead matters.
+    so the per-division overhead matters: a monic linear b gets a Horner
+    loop.
     """
     mult = 0
     n = len(b) - 1
-    inv = pow(b[-1], -1, p)
     if n == 1 and b[-1] == 1:
         r = -b[0] % p
         while len(a) > 1:
@@ -485,28 +490,45 @@ def _multiplicity_fp(a: list, b: list, p: int) -> int:
             a = q
         return mult
     while len(a) > n:
-        q = [0] * (len(a) - n)
-        for i in range(len(a) - 1 - n, -1, -1):
-            c = a[i + n] * inv % p
-            q[i] = c
-            if c:
-                for j in range(n):
-                    a[i + j] = (a[i + j] - c * b[j]) % p
-        if any(a[:n]):
+        a, r = _divmod_mod(a, b, p)
+        if r:
             return mult
         mult += 1
-        a = q
     return mult
 
 
 # ---------------------------------------------------------------------------
-# fast multiplication kernels
+# list kernels over Z/mZ, m = p or p^k
+#
+# Results are ascending coefficient lists with entries in [0, m).  _mul_mod
+# and _divmod_mod need their operands reduced the same way, and a divisor
+# whose leading coefficient is a unit mod m.
 
 
-def _mul_fp(p: int, a, b) -> list:
-    """Kronecker-substitution product of coefficient tuples over F_p."""
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _add_mod(a, b, m):
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
+                  for i in range(n)])
+
+
+def _sub_mod(a, b, m):
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
+                  for i in range(n)])
+
+
+def _mul_mod(a, b, m: int) -> list:
+    """Kronecker-substitution product; may carry trailing zeros when m is not prime."""
+    if not a or not b:
+        return []
     n = min(len(a), len(b))
-    maxc = n * (p - 1) * (p - 1)
+    maxc = n * (m - 1) * (m - 1)
     limb = (maxc.bit_length() + 8) // 8  # bytes per packed coefficient
     ia = int.from_bytes(b"".join(c.to_bytes(limb, "little") for c in a), "little")
     ib = int.from_bytes(b"".join(c.to_bytes(limb, "little") for c in b), "little")
@@ -514,45 +536,24 @@ def _mul_fp(p: int, a, b) -> list:
     total = len(a) + len(b) - 1
     raw = prod.to_bytes(total * limb + limb, "little")
     return [
-        int.from_bytes(raw[i * limb : (i + 1) * limb], "little") % p
+        int.from_bytes(raw[i * limb : (i + 1) * limb], "little") % m
         for i in range(total)
     ]
 
 
-def _clear_denominators(coeffs):
-    """(d, ints) with coeffs[i] = ints[i] / d."""
-    d = 1
-    for c in coeffs:
-        d = d * c.denominator // _gcd_int(d, c.denominator)
-    return d, [int(c * d) for c in coeffs]
-
-
-def _mul_qq(a, b) -> list:
-    """Product of Fraction tuples via integer convolution over a common denominator."""
-    da, ia = _clear_denominators(a)
-    db, ib = _clear_denominators(b)
-    out = [0] * (len(a) + len(b) - 1)
-    if len(ia) > len(ib):
-        ia, ib = ib, ia
-    for i, ci in enumerate(ia):
-        if ci:
-            for j, cj in enumerate(ib):
-                out[i + j] += ci * cj
-    d = da * db
-    return [Fraction(c, d) for c in out]
-
-
-def _large_primes():
-    out = []
-    n = 2 ** 31 - 1
-    while len(out) < 40:
-        if is_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
-
-
-_GCD_PRIMES = _large_primes()
+def _divmod_mod(a, b, m: int):
+    """(quotient, remainder), both trimmed, of a by b."""
+    a = list(a)
+    n = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(a) - n)
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = a[i + n] * inv % m
+        if c:
+            q[i] = c
+            for j in range(n):
+                a[i + j] = (a[i + j] - c * b[j]) % m
+    return _trim(q), _trim(a[:n])
 
 
 def _gcd_mod_p(fa: list, fb: list, p: int):
@@ -609,6 +610,44 @@ def _gcd_bytes(a: list, b: list, p: int) -> list:
     return [c * inv % p for c in out]
 
 
+# ---------------------------------------------------------------------------
+# Q[x] through integer coefficient lists
+
+
+def _clear_denominators(coeffs):
+    """(d, ints) with coeffs[i] = ints[i] / d."""
+    d = math.lcm(*[c.denominator for c in coeffs])
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _mul_qq(a, b) -> list:
+    """Product of Fraction tuples via integer convolution over a common denominator."""
+    da, ia = _clear_denominators(a)
+    db, ib = _clear_denominators(b)
+    out = [0] * (len(a) + len(b) - 1)
+    if len(ia) > len(ib):
+        ia, ib = ib, ia
+    for i, ci in enumerate(ia):
+        if ci:
+            for j, cj in enumerate(ib):
+                out[i + j] += ci * cj
+    d = da * db
+    return [Fraction(c, d) for c in out]
+
+
+def _large_primes():
+    out = []
+    n = 2 ** 31 - 1
+    while len(out) < 40:
+        if is_prime(n):
+            out.append(n)
+        n -= 2
+    return tuple(out)
+
+
+_GCD_PRIMES = _large_primes()
+
+
 def _gcd_qq(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q by a small-prime modular algorithm.
 
@@ -616,9 +655,9 @@ def _gcd_qq(a: Poly, b: Poly) -> Poly:
     lift is accepted once it divides both inputs; degrees mod an unlucky
     prime can only be too high, so tracking the minimum keeps this sound.
     """
-    fa = _to_int_primitive(a)[1]
-    fb = _to_int_primitive(b)[1]
-    lcg = _gcd_int(abs(fa[-1]), abs(fb[-1]))
+    fa = _to_int_primitive(a)
+    fb = _to_int_primitive(b)
+    lcg = math.gcd(fa[-1], fb[-1])
     best_deg = None
     crt_mod = 1
     crt = None
@@ -663,22 +702,9 @@ def _gcd_qq(a: Poly, b: Poly) -> Poly:
     return g.monic()
 
 
-def _to_int_primitive(f: Poly):
-    """Return (unit, int coefficient list) with the list primitive."""
-    if f.is_zero():
-        return Fraction(1), []
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd_int(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-        g = -g
-    return Fraction(g, den), ints
+def _to_int_primitive(f: Poly) -> list:
+    """The primitive integer multiple of f with positive leading coefficient."""
+    return _primitive(_clear_denominators(f.coeffs)[1])
 
 
 def _prem_primitive(a: list, b: list) -> list:
@@ -687,7 +713,7 @@ def _prem_primitive(a: list, b: list) -> list:
     db, lb = len(b) - 1, b[-1]
     while len(a) - 1 >= db and a:
         la = a[-1]
-        g = _gcd_int(abs(la), abs(lb))
+        g = math.gcd(la, lb)
         ma, mb = lb // g, la // g
         a = [c * ma for c in a]
         shift = len(a) - 1 - db
@@ -697,9 +723,7 @@ def _prem_primitive(a: list, b: list) -> list:
             a.pop()
     if not a:
         return []
-    g = 0
-    for c in a:
-        g = _gcd_int(g, abs(c))
+    g = math.gcd(*a)
     return [c // g for c in a]
 
 
@@ -851,81 +875,21 @@ def _divmod_int_poly(a: list, b: list):
     return q, a[: len(b) - 1]
 
 
-def _mulm(a: list, b: list, m: int) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return [c % m for c in out]
-
-
-def _trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _addm(a, b, m):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
-                  for i in range(n)])
-
-
-def _subm(a, b, m):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
-                  for i in range(n)])
-
-
-def _divmodm(a: list, b: list, m: int):
-    """Division mod m by a polynomial with invertible leading coefficient."""
-    a = [c % m for c in a]
-    _trim(a)
-    if len(a) < len(b):
-        return [], a
-    inv = pow(b[-1], -1, m)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv % m
-        q[i] = c
-        if c:
-            for j, cb in enumerate(b):
-                a[i + j] = (a[i + j] - c * cb) % m
-    return _trim(q), _trim(a[: len(b) - 1])
-
-
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift: from f = gh, sg + th = 1 (mod m) to the same mod m^2.
 
     h is monic and stays monic; g keeps its leading coefficient.
     """
     mm = m * m
-    e = _subm(f, _mulm(g, h, mm), mm)
-    q, r = _divmodm(_mulm(s, e, mm), h, mm)
-    g1 = _addm(_addm(g, _mulm(t, e, mm), mm), _mulm(q, g, mm), mm)
-    h1 = _addm(h, r, mm)
-    b = _subm(_addm(_mulm(s, g1, mm), _mulm(t, h1, mm), mm), [1], mm)
-    c, d = _divmodm(_mulm(s, b, mm), h1, mm)
-    s1 = _subm(s, d, mm)
-    t1 = _subm(_subm(t, _mulm(t, b, mm), mm), _mulm(c, g1, mm), mm)
+    e = _sub_mod(f, _mul_mod(g, h, mm), mm)
+    q, r = _divmod_mod(_mul_mod(s, e, mm), h, mm)
+    g1 = _add_mod(_add_mod(g, _mul_mod(t, e, mm), mm), _mul_mod(q, g, mm), mm)
+    h1 = _add_mod(h, r, mm)
+    b = _sub_mod(_add_mod(_mul_mod(s, g1, mm), _mul_mod(t, h1, mm), mm), [1], mm)
+    c, d = _divmod_mod(_mul_mod(s, b, mm), h1, mm)
+    s1 = _sub_mod(s, d, mm)
+    t1 = _sub_mod(_sub_mod(t, _mul_mod(t, b, mm), mm), _mul_mod(c, g1, mm), mm)
     return g1, h1, s1, t1
-
-
-def _ext_gcd_fp(a: Poly, b: Poly):
-    """(g, s, t) with s a + t b = g over a prime field, g monic."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(field), Poly.zero(field)
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lc = r0.leading
-    inv = field.inv(lc)
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
 def _lift_tree(f_ints: list, facs: list, p: int, target: int) -> list:
@@ -948,7 +912,7 @@ def _lift_tree(f_ints: list, facs: list, p: int, target: int) -> list:
         hp = Poly.one(field)
         for q in right:
             hp = hp * q
-        gcd, sp, tp = _ext_gcd_fp(gp, hp)
+        gcd, sp, tp = gp.xgcd(hp)
         if not gcd.is_one():
             raise ConsistencyError("modular factors are not coprime")
         return {
@@ -996,9 +960,7 @@ def _center(c: int, m: int) -> int:
 
 
 def _primitive(ints: list) -> list:
-    g = 0
-    for c in ints:
-        g = _gcd_int(g, abs(c))
+    g = math.gcd(*ints)
     if g == 0:
         return ints
     ints = [c // g for c in ints]
@@ -1044,7 +1006,7 @@ def _factor_zz_squarefree(ints: list) -> list:
             raise InputError("no usable prime found: the polynomial is not squarefree")
     p, facs = best
     facs = sorted(facs, key=lambda g: (g.degree, g.coeffs))
-    bound = (1 << n) * (_isqrt(norm2) + 1) * abs(ints[-1])
+    bound = (1 << n) * (math.isqrt(norm2) + 1) * abs(ints[-1])
     target = 2 * bound + 1
     lifted = _lift_tree(list(ints), facs, p, target)
     m = p
@@ -1053,16 +1015,8 @@ def _factor_zz_squarefree(ints: list) -> list:
     return _recombine(list(ints), lifted, m)
 
 
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
-
-
 def _recombine(f: list, lifted: list, m: int) -> list:
     """Match subsets of lifted modular factors to true integer factors."""
-    import itertools
-
     out = []
     idxs = list(range(len(lifted)))
     size = 1
@@ -1071,7 +1025,7 @@ def _recombine(f: list, lifted: list, m: int) -> list:
         for combo in itertools.combinations(idxs, size):
             cand = [f[-1] % m]
             for i in combo:
-                cand = [c % m for c in _mulm(cand, lifted[i], m)]
+                cand = _mul_mod(cand, lifted[i], m)
             cand = _primitive(_trim([_center(c, m) for c in cand]))
             if len(cand) - 1 != sum(len(lifted[i]) - 1 for i in combo):
                 continue
@@ -1093,7 +1047,7 @@ def _recombine(f: list, lifted: list, m: int) -> list:
 
 def _factor_qq_squarefree(f: Poly) -> list:
     """Monic irreducible factors of a squarefree monic f over Q."""
-    _, ints = _to_int_primitive(f)
+    ints = _to_int_primitive(f)
     out = []
     k = 0
     while ints[0] == 0:
@@ -1108,6 +1062,8 @@ def _factor_qq_squarefree(f: Poly) -> list:
 
 
 _FACTOR_CACHE: dict = {}
+# entries kept before the cache is emptied, so a long-lived process stays bounded
+_FACTOR_CACHE_MAX = 4096
 
 
 def factor(f: Poly, hints=()) -> list:
@@ -1117,8 +1073,8 @@ def factor(f: Poly, hints=()) -> list:
     then coefficient string; the leading unit is discarded.  ``hints`` is an
     optional iterable of monic irreducible polynomials tried as divisors
     first, which keeps the search cheap when the support is already known.
-    Results are cached: the same polynomial recurs constantly in divisor
-    and reduction-type computations.
+    Results are cached, up to ``_FACTOR_CACHE_MAX`` entries: the same
+    polynomial recurs constantly in divisor and reduction-type computations.
     """
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
@@ -1153,6 +1109,8 @@ def factor(f: Poly, hints=()) -> list:
     _FACTOR_CACHE[original] = tuple(result)
     for g, _ in result:
         _FACTOR_CACHE.setdefault(g, ((g, 1),))
+    if len(_FACTOR_CACHE) > _FACTOR_CACHE_MAX:
+        _FACTOR_CACHE.clear()
     return result
 
 

@@ -125,8 +125,8 @@ def divisor(S: GradedSection, extra_places=()) -> DivisorReport:
     """
     if S.is_zero():
         raise InputError("divisor of the zero section")
-    hints = [p.pi for p in curve_places(S.model) if p.pi is not None]
-    places = list(curve_places(S.model, extra=extra_places))
+    places = curve_places(S.model, extra=extra_places)
+    hints = [p.pi for p in places if p.pi is not None]
     seen = set(places)
     for p in support_places(S.value, hints=hints):
         if p not in seen:

@@ -1,0 +1,265 @@
+"""Differential tests for the Z/mZ list kernels and the code built on them.
+
+``_divmod_mod`` is checked against sympy's GF(p) division and, with
+``_mul_mod``, against plain integer loops modulo prime powers.  ``Poly.xgcd``
+is checked by its Bezout identity over Q and F_p and through residue-field
+inverses; ``factor`` over Q, whose Hensel lifting and recombination run on
+these kernels modulo p^k, is checked against sympy's ``factor_list``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import maninmaps.polynomials as polys
+from maninmaps import FunctionField
+from maninmaps.funcfield import Place, Residue
+from maninmaps.polynomials import (
+    Poly,
+    PrimeField,
+    QQ,
+    _divmod_mod,
+    _mul_mod,
+    factor,
+)
+
+SYMPY_PRIMES = (5, 7, 11, 2 ** 31 - 1)
+PRIME_POWERS = (5 ** 3, 7 ** 5, 11 ** 9, 3 ** 40)
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def plain_mul(a, b, m):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim([c % m for c in out])
+
+
+def plain_divmod(a, b, m):
+    """Schoolbook division mod m, one leading term at a time."""
+    a = _trim([c % m for c in a])
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = a[-1] * inv % m
+        shift = len(a) - len(b)
+        q[shift] = c
+        for j in range(len(b)):
+            a[shift + j] = (a[shift + j] - c * b[j]) % m
+        _trim(a)
+    return _trim(q), a
+
+
+def random_list(rng, m, length):
+    return [rng.randrange(m) for _ in range(length)]
+
+
+def random_divisor(rng, m, p, length):
+    b = random_list(rng, m, length)
+    while b[-1] % p == 0:
+        b[-1] = rng.randrange(m)
+    return b
+
+
+def sympy_div(a, b, p):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    da = galoistools.gf_strip([ZZ(c) for c in reversed(a)])
+    db = galoistools.gf_strip([ZZ(c) for c in reversed(b)])
+    q, r = galoistools.gf_div(da, db, p, ZZ)
+    return [int(c) for c in reversed(q)], [int(c) for c in reversed(r)]
+
+
+@pytest.mark.parametrize("p", SYMPY_PRIMES)
+def test_divmod_mod_matches_sympy(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        b = random_divisor(rng, p, p, rng.randrange(2, 12))
+        a = _trim(random_list(rng, p, rng.randrange(0, 30)))
+        q, r = _divmod_mod(a, b, p)
+        assert (q, r) == sympy_div(a, b, p)
+
+
+@pytest.mark.parametrize("p", SYMPY_PRIMES)
+def test_divmod_mod_exact_quotient(p):
+    rng = random.Random(p + 1)
+    for _ in range(20):
+        b = random_divisor(rng, p, p, rng.randrange(2, 9))
+        q0 = random_divisor(rng, p, p, rng.randrange(1, 15))
+        q, r = _divmod_mod(_mul_mod(q0, b, p), b, p)
+        assert q == q0 and r == []
+
+
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_mul_mod_matches_integer_loop(m):
+    rng = random.Random(m % 1000)
+    for _ in range(40):
+        a = random_list(rng, m, rng.randrange(0, 20))
+        b = random_list(rng, m, rng.randrange(0, 20))
+        assert _trim(_mul_mod(a, b, m)) == plain_mul(a, b, m)
+
+
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_mul_mod_empty_operands(m):
+    assert _mul_mod([], [], m) == []
+    assert _mul_mod([], [1, 2, 3], m) == []
+    assert _mul_mod([4, 5], [], m) == []
+
+
+def test_mul_mod_keeps_zero_divisor_products():
+    # 5 * 25 = 0 mod 125: the product may end in zeros, which callers trim
+    assert _trim(_mul_mod([1, 5], [2, 25], 125)) == [2, 35]
+
+
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_divmod_mod_matches_integer_loop(m):
+    p = next(q for q in (3, 5, 7, 11) if m % q == 0)
+    rng = random.Random(m % 997)
+    for _ in range(40):
+        b = random_divisor(rng, m, p, rng.randrange(1, 8))
+        a = _trim(random_list(rng, m, rng.randrange(0, 20)))
+        q, r = _divmod_mod(a, b, m)
+        assert (q, r) == plain_divmod(a, b, m)
+        assert _trim(_mul_mod(q, b, m)) == plain_mul(q, b, m)
+
+
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_divmod_mod_empty_and_short_dividends(m):
+    assert _divmod_mod([], [1, 1], m) == ([], [])
+    assert _divmod_mod([3], [1, 0, 2], m) == ([], [3])
+    assert _divmod_mod([3, 0, 0], [1, 0, 1], m) == ([], [3])
+
+
+def qpoly(*cs):
+    return Poly(QQ, [Fraction(c) for c in cs])
+
+
+def random_poly(rng, field, length):
+    if field.char:
+        return Poly(field, [rng.randrange(field.p) for _ in range(length)])
+    return Poly(field, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(length)])
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7), PrimeField(2 ** 31 - 1)), ids=repr)
+def test_xgcd_bezout_identity(field):
+    rng = random.Random(31)
+    for _ in range(40):
+        common = random_poly(rng, field, rng.randrange(1, 4))
+        a = random_poly(rng, field, rng.randrange(0, 7)) * common
+        b = random_poly(rng, field, rng.randrange(0, 7)) * common
+        if a.is_zero() and b.is_zero():
+            continue
+        g, s, t = a.xgcd(b)
+        assert s * a + t * b == g
+        assert g == a.gcd(b)
+        assert g.leading == field.one
+
+
+def test_xgcd_rejects_two_zeros():
+    zero = Poly.zero(QQ)
+    with pytest.raises(ZeroDivisionError):
+        zero.xgcd(zero)
+
+
+RESIDUE_MODULI = (
+    (QQ, ([-2, 0, 1], [1, 1], [-2, 0, 0, 1])),
+    (PrimeField(5), ([2, 0, 1], [1, 1], [1, 1, 0, 1])),
+    (PrimeField(11), ([1, 0, 1], [4, 1], [1, 4, 0, 1])),
+)
+
+
+@pytest.mark.parametrize("constants,moduli", RESIDUE_MODULI, ids=[repr(c) for c, _ in RESIDUE_MODULI])
+def test_residue_inverse_round_trip(constants, moduli):
+    K = FunctionField(constants, "t")
+    rng = random.Random(5)
+    for ints in moduli:
+        pi = Poly.from_int_coeffs(constants, ints)
+        R = Residue(Place(K, pi))
+        one = R.from_int(1)
+        for _ in range(15):
+            a = random_poly(rng, constants, pi.degree)
+            if a.is_zero():
+                continue
+            inv = R.inv(a)
+            assert inv.degree < pi.degree
+            assert R.eq(R.mul(a, inv), one)
+            assert R.inv(inv) == a
+        with pytest.raises(ZeroDivisionError):
+            R.inv(R.zero)
+        with pytest.raises(ZeroDivisionError):
+            R.inv(pi)
+
+
+SD4 = qpoly(1, 0, -10, 0, 1)  # minimal polynomial of sqrt 2 + sqrt 3
+PHI24 = qpoly(1, 0, 0, 0, -1, 0, 0, 0, 1)
+SD8 = qpoly(576, 0, -960, 0, 352, 0, -40, 0, 1)  # sqrt 2 + sqrt 3 + sqrt 5
+CYCLOTOMIC = qpoly(1, 1, 1) * qpoly(1, 0, 1) * qpoly(1, 0, 0, 0, 1) * qpoly(1, 0, -1, 0, 1)
+
+MANY_MODULAR_FACTORS = (
+    ("phi24", PHI24),
+    ("sd8", SD8),
+    ("phi3*phi4*phi8*phi12", CYCLOTOMIC),
+    ("sd4*phi24", SD4 * PHI24),
+    ("sd4*phi24*phi12", SD4 * PHI24 * qpoly(1, 0, -1, 0, 1)),
+    ("(3x^2-5)^2*sd8*(2x+7)", qpoly(-5, 0, 3) ** 2 * SD8 * qpoly(7, 2)),
+)
+
+
+def sympy_factors(f):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i for i, c in enumerate(f.coeffs))
+    _, pairs = sympy.factor_list(expr)
+    out = set()
+    for g, mult in pairs:
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(g, x).all_coeffs())]
+        out.add((str(Poly(QQ, cs).monic()), mult))
+    return out
+
+
+def test_factor_over_q_matches_sympy_on_sd4():
+    polys._FACTOR_CACHE.clear()
+    assert {(str(g), m) for g, m in factor(SD4)} == sympy_factors(SD4)
+
+
+@pytest.mark.parametrize("name,f", MANY_MODULAR_FACTORS, ids=[n for n, _ in MANY_MODULAR_FACTORS])
+def test_factor_over_q_matches_sympy_with_many_modular_factors(name, f, monkeypatch):
+    sizes = []
+    recombine = polys._recombine
+
+    def spy(g, lifted, m):
+        sizes.append(len(lifted))
+        return recombine(g, lifted, m)
+
+    monkeypatch.setattr(polys, "_recombine", spy)
+    polys._FACTOR_CACHE.clear()
+    got = {(str(g), m) for g, m in factor(f)}
+    assert got == sympy_factors(f)
+    assert max(sizes) >= 4  # the lifting tree and subset search really ran
+
+
+def test_factor_cache_stays_bounded(monkeypatch):
+    rng = random.Random(17)
+    inputs = [
+        qpoly(*[rng.randrange(-5, 6) for _ in range(rng.randrange(2, 7))] + [1])
+        for _ in range(40)
+    ]
+    F7 = PrimeField(7)
+    inputs += [Poly(F7, [rng.randrange(7) for _ in range(rng.randrange(2, 9))] + [1]) for _ in range(40)]
+    polys._FACTOR_CACHE.clear()
+    expected = [factor(f) for f in inputs]
+    monkeypatch.setattr(polys, "_FACTOR_CACHE_MAX", 6)
+    polys._FACTOR_CACHE.clear()
+    for _ in range(2):
+        for f, want in zip(inputs, expected):
+            assert factor(f) == want
+            assert len(polys._FACTOR_CACHE) <= 6
+    polys._FACTOR_CACHE.clear()
