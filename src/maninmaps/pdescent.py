@@ -413,7 +413,12 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
         kv = twist_exponent(Escan, v)
         best = 0
         for phi, psi_n in x_terms:
-            ox = ord_at(phi, v) - 2 * ord_at(psi_n, v) + 2 * kv
+            need = 2 * ord_at(psi_n, v) - 2 * kv
+            # phi_n is a polynomial, so at a finite place ord_v(phi_n) >= 0
+            # and x(nP) has no pole there unless need > 0
+            if need <= 0 and not v.is_infinity:
+                continue
+            ox = ord_at(phi, v) - need
             if ox < 0:
                 if ox % 2:
                     raise ConsistencyError("odd pole order of x at %s" % v)

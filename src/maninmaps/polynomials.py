@@ -8,7 +8,9 @@ structural equality is mathematical equality.
 
 All modular arithmetic runs on one set of list kernels over Z/mZ, with m = p
 or m = p^k: ``_add_mod``, ``_sub_mod``, ``_mul_mod`` (Kronecker substitution:
-pack coefficients into one big integer, multiply, unpack) and ``_divmod_mod``.
+pack coefficients into one big integer, multiply, unpack; word-packed, one
+``array`` conversion per operand and one for the product, whenever every
+product coefficient fits 2, 4 or 8 bytes) and ``_divmod_mod``.
 ``Poly`` multiplication and division over F_p, the multiplicity of a
 non-linear factor, Hensel lifting and factor recombination over Z/p^kZ all
 use them.  Input-specific fast paths sit beside them: the F_p gcd packs one
@@ -27,6 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from array import array
 from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
@@ -366,7 +370,11 @@ class Poly:
         return q
 
     def multiplicity_of(self, other) -> int:
-        """Largest k with other**k dividing self (self nonzero)."""
+        """Largest k with other**k dividing self (self nonzero, other non-constant)."""
+        if self.is_zero():
+            raise InputError("the zero polynomial has no finite multiplicity")
+        if other.is_constant():
+            raise InputError("a multiplicity needs a non-constant divisor, got %s" % other)
         if self.field.char:
             return _multiplicity_fp(
                 list(self.coeffs), list(other.coeffs), self.field.p
@@ -505,6 +513,11 @@ def _multiplicity_fp(a: list, b: list, p: int) -> int:
 # whose leading coefficient is a unit mod m.
 
 
+# unsigned array typecodes by ascending item size (2, 4, 8 bytes); chosen by
+# size because the sizes of 'I' and 'L' differ between platforms
+_WORD_CODES = sorted({array(c).itemsize: c for c in "QLIH"}.items())
+
+
 def _trim(a: list) -> list:
     while a and a[-1] == 0:
         a.pop()
@@ -524,17 +537,28 @@ def _sub_mod(a, b, m):
 
 
 def _mul_mod(a, b, m: int) -> list:
-    """Kronecker-substitution product; may carry trailing zeros when m is not prime."""
+    """Kronecker-substitution product; may carry trailing zeros when m is not prime.
+
+    Every product coefficient is at most ``min(len a, len b)·(m−1)²``.  When
+    that bound fits a machine word, each operand packs in one ``array``
+    call into a native-order byte string and the product unpacks in one;
+    larger bounds (moduli p^k of Hensel lifting, primes near 2^31) join
+    the bytes of each coefficient one by one.
+    """
     if not a or not b:
         return []
-    n = min(len(a), len(b))
-    maxc = n * (m - 1) * (m - 1)
-    limb = (maxc.bit_length() + 8) // 8  # bytes per packed coefficient
+    bound = min(len(a), len(b)) * (m - 1) * (m - 1)
+    total = len(a) + len(b) - 1
+    for size, code in _WORD_CODES:
+        if bound >> (8 * size) == 0:
+            ia = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
+            ib = int.from_bytes(array(code, b).tobytes(), sys.byteorder)
+            raw = (ia * ib).to_bytes(total * size, sys.byteorder)
+            return [c % m for c in array(code, raw)]
+    limb = (bound.bit_length() + 7) // 8  # bytes per packed coefficient
     ia = int.from_bytes(b"".join(c.to_bytes(limb, "little") for c in a), "little")
     ib = int.from_bytes(b"".join(c.to_bytes(limb, "little") for c in b), "little")
-    prod = ia * ib
-    total = len(a) + len(b) - 1
-    raw = prod.to_bytes(total * limb + limb, "little")
+    raw = (ia * ib).to_bytes(total * limb, "little")
     return [
         int.from_bytes(raw[i * limb : (i + 1) * limb], "little") % m
         for i in range(total)

@@ -1,7 +1,8 @@
 """Differential tests for the Z/mZ list kernels and the code built on them.
 
 ``_divmod_mod`` is checked against sympy's GF(p) division and, with
-``_mul_mod``, against plain integer loops modulo prime powers.  ``Poly.xgcd``
+``_mul_mod``, against plain integer loops modulo prime powers; ``_mul_mod``
+also on both sides of each of its packing widths.  ``Poly.xgcd``
 is checked by its Bezout identity over Q and F_p and through residue-field
 inverses; ``factor`` over Q, whose Hensel lifting and recombination run on
 these kernels modulo p^k, is checked against sympy's ``factor_list``.
@@ -107,11 +108,42 @@ def test_mul_mod_matches_integer_loop(m):
         assert _trim(_mul_mod(a, b, m)) == plain_mul(a, b, m)
 
 
-@pytest.mark.parametrize("m", PRIME_POWERS)
+# (m, n, bits, below): with a shorter operand of length n, the largest
+# product coefficient n·(m−1)² lies just below or just above 2^bits, the
+# edge of a 2-, 4- or 8-byte packing word (past 8 bytes, the byte join)
+WIDTH_EDGES = [
+    (5 ** 3, 4, 16, True),
+    (5 ** 3, 5, 16, False),
+    (257, 1, 16, False),
+    (3 ** 10, 1, 32, True),
+    (3 ** 10, 2, 32, False),
+    (65537, 1, 32, False),
+    (7 ** 11, 4, 64, True),
+    (7 ** 11, 5, 64, False),
+    (2 ** 31 - 1, 4, 64, True),
+    (2 ** 31 - 1, 5, 64, False),
+]
+
+
+@pytest.mark.parametrize("m, n, bits, below", WIDTH_EDGES)
+def test_mul_mod_at_packing_width_edges(m, n, bits, below):
+    assert (n * (m - 1) ** 2 < 2 ** bits) == below
+    rng = random.Random(m + n)
+    top = [m - 1] * n  # all-(m−1) operands reach the coefficient bound
+    pairs = [(top, top), (top, [m - 1] * (n + 7)), (top, [1])]
+    pairs += [(random_list(rng, m, n), random_list(rng, m, rng.randrange(n, n + 10)))
+              for _ in range(20)]
+    for a, b in pairs:
+        assert _trim(_mul_mod(a, b, m)) == plain_mul(a, b, m)
+        assert _trim(_mul_mod(b, a, m)) == plain_mul(b, a, m)
+
+
+@pytest.mark.parametrize("m", sorted(set(PRIME_POWERS) | {m for m, *_ in WIDTH_EDGES}))
 def test_mul_mod_empty_operands(m):
     assert _mul_mod([], [], m) == []
     assert _mul_mod([], [1, 2, 3], m) == []
     assert _mul_mod([4, 5], [], m) == []
+    assert _mul_mod([m - 1], [m - 1], m) == [1]
 
 
 def test_mul_mod_keeps_zero_divisor_products():

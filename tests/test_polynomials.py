@@ -185,3 +185,30 @@ def test_lift_tree_reports_non_coprime_factors():
     x1 = Poly(F5, [1, 1])
     with pytest.raises(ConsistencyError):
         _lift_tree([1, 2, 1], [x1, x1], 5, 1000)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=["F5", "Q"])
+def test_multiplicity_of(field):
+    def poly(*ints):
+        return Poly.from_int_coeffs(field, ints)
+
+    f = poly(1, 1) ** 4 * poly(2, 0, 1)  # (x + 1)^4 (x^2 + 2)
+    assert f.multiplicity_of(poly(1, 1)) == 4
+    assert f.multiplicity_of(poly(2, 0, 1)) == 1
+    assert f.multiplicity_of(poly(2, 2)) == 4  # 2x + 2, not monic
+    assert f.multiplicity_of(poly(0, 1)) == 0
+    assert poly(7).multiplicity_of(poly(1, 1)) == 0
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=["F5", "Q"])
+def test_multiplicity_of_rejects_constant_and_zero_polynomials(field):
+    # a constant divisor divides forever: the division loops never ended
+    def poly(*ints):
+        return Poly.from_int_coeffs(field, ints)
+
+    f = poly(1, 2, 3)
+    for divisor in (poly(2), poly(1), Poly.zero(field)):
+        with pytest.raises(InputError):
+            f.multiplicity_of(divisor)
+    with pytest.raises(InputError):
+        Poly.zero(field).multiplicity_of(poly(1, 1))

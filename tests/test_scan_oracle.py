@@ -3,7 +3,8 @@
 ``reference_tangency_scan`` is the scan as it was first written: for every
 special place it rebuilds x(nP) = phi_n / psi_n^2 for every multiple n and
 takes valuations of fresh field elements.  The library builds phi_n once per
-n; both must report the same contacts and torsion order.
+n and, at a finite place, takes ord_v(phi_n) only where ord_v(psi_n) leaves
+room for a pole; both must report the same contacts and torsion order.
 """
 
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from maninmaps import (
     CurvePoint,
     FieldElement,
+    FunctionField,
     PrimeField,
     WeierstrassModel,
     add,
@@ -33,10 +35,9 @@ from conftest import legendre_cover_2, sextic_point_curve
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
-def reference_tangency_scan(E, P, n_max, watch_places=()):
-    """(iotas, torsion_order) by the per-place loop over all multiples."""
-    p = E.field.char
-    E, P = _short_with_point(E, P)
+def cleared_model(E, P):
+    """(Escan, x0, y0, need): the smallest twist of a short model and point
+    that makes a4, a6, x(P), y(P) polynomials, and its exponent per place."""
     K = E.field
     need = {}
     for den, w in ((E.a4.den, 4), (E.a6.den, 6), (P.x.den, 2), (P.y.den, 3)):
@@ -52,7 +53,16 @@ def reference_tangency_scan(E, P, n_max, watch_places=()):
     a6 = E.a6 * c ** 6
     x0 = P.x * c ** 2
     y0 = P.y * c ** 3
-    Escan = WeierstrassModel.short(K, a4, a6)
+    return WeierstrassModel.short(K, a4, a6), x0, y0, need
+
+
+def reference_tangency_scan(E, P, n_max, watch_places=()):
+    """(iotas, torsion_order) by the per-place loop over all multiples."""
+    p = E.field.char
+    E, P = _short_with_point(E, P)
+    K = E.field
+    Escan, x0, y0, need = cleared_model(E, P)
+    a4, a6 = Escan.a4, Escan.a6
 
     special = set(curve_places(Escan))
     special.update(watch_places)
@@ -126,17 +136,58 @@ def _manifest_cases():
     return out
 
 
+def _scan_against_oracle(E, P, n_max):
+    Es, Ps = _short_with_point(E, P)
+    watch = _watch(Es)
+    scan = tangency_scan(Es, Ps, n_max, watch_places=watch)
+    iotas, torsion_order = reference_tangency_scan(Es, Ps, n_max, watch_places=watch)
+    assert scan.iotas == iotas
+    assert scan.torsion_order == torsion_order
+    return scan
+
+
 @pytest.mark.parametrize(
     "curve",
     [pytest.param(curve, id=label) for label, curve in _criterion_7_cases() + _manifest_cases()],
 )
 def test_scan_matches_per_place_oracle(curve):
-    Es, Ps = _short_with_point(*curve)
-    watch = _watch(Es)
-    scan = tangency_scan(Es, Ps, 30, watch_places=watch)
-    iotas, torsion_order = reference_tangency_scan(Es, Ps, 30, watch_places=watch)
-    assert scan.iotas == iotas
-    assert scan.torsion_order == torsion_order
+    _scan_against_oracle(*curve, 30)
+
+
+def _short_through_point(p, g, h, A):
+    """y^2 = x^3 + A x + (h^2 - g^3 - A g) over F_p(u), through (g, h)."""
+    K = FunctionField(PrimeField(p), "u")
+    g, h, A = (FieldElement(K, K.poly(cs)) for cs in (g, h, A))
+    E = WeierstrassModel.short(K, A, h * h - g ** 3 - A * g)
+    return E, CurvePoint(E, g, h)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_scan_matches_oracle_where_the_twist_is_negative(p):
+    # 2P on the Legendre cover has a pole at s = 0; clearing it overshoots
+    # the minimal model there, so kv < 0 at that finite place: x(nP) can
+    # have a pole there where psi_n does not vanish, which a scan that
+    # skipped every multiple with ord_v(psi_n) = 0 would miss
+    E, P, _ = legendre_cover_2(PrimeField(p))
+    Q = add(P, P)
+    Es, Qs = _short_with_point(E, Q)
+    Escan, _, _, need = cleared_model(Es, Qs)
+    assert any(twist_exponent(Escan, v) < 0 for v in need)
+    assert _scan_against_oracle(E, Q, 30).iotas
+
+
+def test_scan_matches_oracle_at_the_top_descent_rung():
+    man = Manifest(str(MANIFESTS / "charp-3x.cfg"))
+    scan = _scan_against_oracle(man.model, man.pick_point(), 45)
+    assert max(scan.iotas.values()) == 3
+
+
+def test_scan_matches_oracle_on_a_short_curve_through_a_point():
+    # g = u + 2, h = u^3 + 3u + 1, A = u + 1 over F_7: semistable, with
+    # contacts of order 2 at three finite places
+    E, P = _short_through_point(7, [2, 1], [1, 3, 0, 1], [1, 1])
+    scan = _scan_against_oracle(E, P, 30)
+    assert sorted(scan.iotas.values()).count(2) == 3
 
 
 def test_scan_oracle_sees_torsion():
