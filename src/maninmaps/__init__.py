@@ -20,7 +20,6 @@ from .elliptic import (
     intersection_with_zero,
     j_invariant,
     kodaira_type,
-    minimal_model_at,
     negate,
     parse_curve_function,
     scalar_mul,

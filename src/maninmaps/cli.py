@@ -45,12 +45,6 @@ from .maninmap import PFOperator
 from .polynomials import PrimeField, QQ
 from .sections import divisor
 
-COMMANDS = (
-    "invariants", "lambda", "mu", "nu", "descent-bound", "check-tau",
-    "verify-pf", "find-pf", "manin", "exceptional-set", "tangency",
-)
-
-
 class Manifest:
     """Parsed manifest: fields, curve, covers, points, operator, params."""
 
@@ -154,7 +148,7 @@ class Manifest:
                 L = maninmap.pullback_pf(L, self.cover)
             self.operator = L
             self.inputs["operator"] = {
-                "A": str(L.A), "B": str(L.B), "C": str(L.C), "F": _fstr(L.F),
+                "A": str(L.A), "B": str(L.B), "C": str(L.C), "F": str(L.F),
             }
 
         self.params = {"n_max": 30, "pole_bound": 4, "point": None}
@@ -194,14 +188,6 @@ def _split_pair(text: str):
         elif ch == "," and depth == 0:
             return s[:i], s[i + 1:]
     raise InputError("a point needs two comma-separated coordinates: %r" % text)
-
-
-def _fstr(F) -> str:
-    if F.ry.is_zero():
-        return str(F.rx)
-    if F.rx.is_zero():
-        return "y*(%s)" % F.ry
-    return "(%s) + y*(%s)" % (F.rx, F.ry)
 
 
 def _divisor_json(report) -> dict:
@@ -327,7 +313,7 @@ def _cmd_find_pf(man: Manifest, args):
         "A": str(L.A),
         "B": str(L.B),
         "C": str(L.C),
-        "F": _fstr(L.F),
+        "F": str(L.F),
         "verified": True,
     }
     return results, []
@@ -408,6 +394,7 @@ _HANDLERS = {
     "exceptional-set": _cmd_exceptional_set,
     "tangency": _cmd_tangency,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(command: str, manifest_path: str, args) -> tuple:

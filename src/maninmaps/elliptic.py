@@ -4,10 +4,11 @@ Models are monic cubics y^2 = x^3 + c2 x^2 + c1 x + c0 with coefficients in
 K = k(t), char k = 0 or > 3.  The short form (c2 = 0) is required by the
 characteristic-p machinery; ``depress`` converts, shifting points along.
 
-Local data (minimal models, Kodaira types, intersection numbers with the
-zero section) is computed place by place from valuations of c4 and the
-discriminant, which classifies all fiber types away from residue
-characteristic 2 and 3.
+Local data (twist exponents, Kodaira types, intersection numbers with the
+zero section) is computed place by place without building a second model:
+a quantity of weight w on the v-minimal model has order ord_v + w k_v, where
+k_v is the twist exponent.  The orders of c4 and the discriminant classify
+all fiber types away from residue characteristic 2 and 3.
 """
 
 from __future__ import annotations
@@ -96,9 +97,6 @@ class WeierstrassModel:
 
     def c4(self) -> FieldElement:
         return self.c2 ** 2 * 16 - self.c1 * 48
-
-    def c6(self) -> FieldElement:
-        return -(self.c2 ** 3) * 64 + self.c2 * self.c1 * 288 - self.c0 * 864
 
     def j_invariant(self) -> FieldElement:
         return self.c4() ** 3 / self.discriminant()
@@ -279,10 +277,6 @@ class KodairaType:
         return self.kind == "I" and self.m == 0
 
     @property
-    def is_multiplicative(self) -> bool:
-        return self.kind == "I" and self.m > 0
-
-    @property
     def is_semistable(self) -> bool:
         return self.kind == "I"
 
@@ -335,26 +329,18 @@ def twist_exponent(E: WeierstrassModel, v: Place) -> int:
     return -min(o4 // 4, o6 // 6)
 
 
-def minimal_model_at(E: WeierstrassModel, v: Place):
-    """The v-minimal short model and its twist exponent k.
+def kodaira_type(E: WeierstrassModel, v: Place) -> KodairaType:
+    """Fiber type from (ord c4, ord disc) on the v-minimal model.
 
-    Points move by (x, y) -> (x pi^2k, y pi^3k).
+    Twisting by pi^k multiplies the discriminant by pi^12k and, on a short
+    model where c4 = -48 a4, c4 by pi^4k; no minimal model is built.
     """
     E = E.depress()[0]
     k = twist_exponent(E, v)
-    if k == 0:
-        return E, 0
-    pi = v.uniformizer()
-    return WeierstrassModel.short(E.field, E.a4 * pi ** (4 * k), E.a6 * pi ** (6 * k)), k
-
-
-def kodaira_type(E: WeierstrassModel, v: Place) -> KodairaType:
-    """Fiber type from (ord c4, ord disc) on the v-minimal model."""
-    Emin, _ = minimal_model_at(E, v)
-    d = ord_at(Emin.discriminant(), v)
+    d = ord_at(E.discriminant(), v) + 12 * k
     if d == 0:
         return KodairaType("I", 0)
-    a = ord_at(Emin.c4(), v)
+    a = ord_at(E.a4, v) + 4 * k
     if a == 0:
         return KodairaType("I", d)
     if 3 * a < d:
@@ -507,7 +493,7 @@ class CurveFunction:
         f = RatX.from_xpoly(self.model.cubic())
         norm = other.rx * other.rx - f * other.ry * other.ry
         if norm.is_zero():
-            raise ConsistencyError("zero norm for a nonzero curve function")
+            raise ConsistencyError("zero norm for the nonzero curve function %s" % other)
         conj = CurveFunction(self.model, other.rx, -other.ry)
         prod = self * conj
         inv_norm = RatX(self.model.field, norm.den, norm.num)
@@ -525,14 +511,6 @@ class CurveFunction:
             base = base * base
             n >>= 1
         return out
-
-    def dx_coefficient(self) -> CurveFunction:
-        """The h in dF = h dx, reduced modulo y^2 = f(x): uses dy = f'(x)/(2y) dx."""
-        f = RatX.from_xpoly(self.model.cubic())
-        fprime = RatX.from_xpoly(self.model.cubic().derivative_x())
-        two = RatX.const(self.model.field.from_int(2))
-        ry_new = self.ry.derivative_x() + self.ry * fprime / (two * f)
-        return CurveFunction(self.model, self.rx.derivative_x(), ry_new)
 
     def evaluate(self, P: CurvePoint) -> FieldElement:
         if P.is_zero:

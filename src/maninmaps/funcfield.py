@@ -110,11 +110,6 @@ class FieldElement:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise InputError("not a constant: %s" % self)
-        return self.num[0]
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
@@ -684,80 +679,6 @@ class RatX:
         if self.is_xpoly():
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
-
-
-# ---------------------------------------------------------------------------
-# residue fields (for reductions at a place)
-
-
-class Residue:
-    """Arithmetic in the residue field at a place: k[t]/(pi), or k at infinity."""
-
-    def __init__(self, place: Place):
-        self.place = place
-        self.field = place.field
-        self.constants = place.field.constants
-
-    def reduce(self, f: FieldElement):
-        """Image of f (which must be regular at the place) in the residue field."""
-        o = ord_at(f, self.place)
-        if o < 0:
-            raise InputError("reduction of a function with a pole")
-        if self.place.is_infinity:
-            if f.num.degree < f.den.degree:
-                return self.constants.zero
-            return self.constants.div(f.num.leading, f.den.leading)
-        pi = self.place.pi
-        num = f.num % pi
-        den_inv = self._inv_poly(f.den % pi)
-        return num * den_inv % pi
-
-    def _inv_poly(self, a: Poly) -> Poly:
-        g, _, inv = self.place.pi.xgcd(a % self.place.pi)
-        if not g.is_one():
-            raise ZeroDivisionError("inverting zero in the residue field")
-        return inv  # already reduced: Euclid cofactors have deg < deg pi
-
-    # raw residue values: Poly (finite place) or constant (infinity)
-
-    def add(self, a, b):
-        if self.place.is_infinity:
-            return self.constants.add(a, b)
-        return a + b
-
-    def sub(self, a, b):
-        if self.place.is_infinity:
-            return self.constants.sub(a, b)
-        return a - b
-
-    def mul(self, a, b):
-        if self.place.is_infinity:
-            return self.constants.mul(a, b)
-        return a * b % self.place.pi
-
-    def inv(self, a):
-        if self.place.is_infinity:
-            return self.constants.inv(a)
-        return self._inv_poly(a)
-
-    def is_zero(self, a):
-        if self.place.is_infinity:
-            return a == self.constants.zero
-        return a.is_zero()
-
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
-
-    @property
-    def zero(self):
-        if self.place.is_infinity:
-            return self.constants.zero
-        return Poly.zero(self.constants)
-
-    def from_int(self, n):
-        if self.place.is_infinity:
-            return self.constants.from_int(n)
-        return Poly.const(self.constants, self.constants.from_int(n))
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
     F = CurveFunction(E, RatX(K, XPoly.zero(K)), ry)
     L = PFOperator(A, B, C, F)
     if not verify_pf(E, L):
-        raise ConsistencyError("solved operator failed verification")
+        raise ConsistencyError("solved operator failed verification on %s" % E)
     return L
 
 

@@ -21,7 +21,6 @@ from .elliptic import (
     curve_places,
     deg_omega,
     kodaira_type,
-    minimal_model_at,
     scalar_mul,
     twist_exponent,
 )
@@ -29,7 +28,6 @@ from .errors import ConsistencyError, HypothesisError, InputError
 from .funcfield import (
     FieldElement,
     Place,
-    Residue,
     XPoly,
     ord_at,
     places_of_poly,
@@ -215,26 +213,26 @@ def reduction_table_report(E: WeierstrassModel) -> list:
 def in_identity_component(E: WeierstrassModel, P: CurvePoint, v: Place) -> bool:
     """Whether P reduces to a smooth point of the v-minimal closed fiber.
 
-    Valid at semistable places: a pole of x counts as smooth (the point
-    reduces to the origin), and the unique singular point of an I_m fiber
-    is the node (-3 b / 2 a, 0) of the reduced cubic x^3 + a x + b.
+    Valid at semistable places.  On the v-minimal model x, y, a4, a6 pick up
+    pi^(2k), pi^(3k), pi^(4k), pi^(6k), so every test below is an order
+    ord_v + weight k.  A pole of x counts as smooth (the point reduces to the
+    origin); otherwise the unique singular point of an I_m fiber is the node
+    (-3 b / 2 a, 0) of the reduced cubic x^3 + a x + b, and since 2 and 3 are
+    units, x reduces to it exactly when 2 a x + 3 b vanishes there.
     """
     if P.is_zero:
         return True
     E, P = _short_with_point(E, P)
-    Emin, k = minimal_model_at(E, v)
-    pi = v.uniformizer()
-    x = P.x * pi ** (2 * k)
-    y = P.y * pi ** (3 * k)
-    if ord_at(x, v) < 0:
+    k = twist_exponent(E, v)
+    if ord_at(P.x, v) + 2 * k < 0:
         return True
-    R = Residue(v)
-    abar = R.reduce(Emin.a4)
-    bbar = R.reduce(Emin.a6)
-    if R.is_zero(abar):
+    if ord_at(E.a4, v) + 4 * k > 0:
         raise HypothesisError("additive reduction at %s; component test refused" % v)
-    xi = R.mul(R.mul(bbar, R.from_int(-3)), R.inv(R.mul(abar, R.from_int(2))))
-    return not (R.eq(R.reduce(x), xi) and R.is_zero(R.reduce(y)))
+    on_node = (
+        ord_at(E.a4 * P.x * 2 + E.a6 * 3, v) + 6 * k > 0
+        and ord_at(P.y, v) + 3 * k > 0
+    )
+    return not on_node
 
 
 def component_order(E: WeierstrassModel, P: CurvePoint, v: Place, cap: int) -> int:
@@ -375,9 +373,12 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     a6 = E.a6 * c ** 6
     x0 = P.x * c ** 2
     y0 = P.y * c ** 3
-    for val in (a4, a6, x0, y0):
+    for name, val in (("a4", a4), ("a6", a6), ("x", x0), ("y", y0)):
         if not val.den.is_one():
-            raise ConsistencyError("denominator clearing failed")
+            raise ConsistencyError(
+                "denominator clearing failed: %s keeps the denominator %s"
+                % (name, val.den)
+            )
     Escan = WeierstrassModel.short(K, a4, a6)
 
     special = set(curve_places(Escan))

@@ -938,7 +938,9 @@ def _lift_tree(f_ints: list, facs: list, p: int, target: int) -> list:
             hp = hp * q
         gcd, sp, tp = gp.xgcd(hp)
         if not gcd.is_one():
-            raise ConsistencyError("modular factors are not coprime")
+            raise ConsistencyError(
+                "modular factors are not coprime mod %d: their gcd is %s" % (p, gcd)
+            )
         return {
             "leaf": False,
             "g": [int(c) for c in gp.coeffs],

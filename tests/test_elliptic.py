@@ -15,7 +15,6 @@ from maninmaps import (
     deg_omega,
     intersection_with_zero,
     kodaira_type,
-    minimal_model_at,
     negate,
     ord_at,
     parse_curve_function,
@@ -24,6 +23,7 @@ from maninmaps import (
     value_at_O,
 )
 
+from local_oracle import minimal_model_at
 from conftest import (
     legendre,
     legendre_biquadratic,

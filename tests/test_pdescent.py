@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,11 +29,15 @@ from maninmaps import (
     scalar_mul,
     tangency_scan,
 )
-from maninmaps.pdescent import _table_expectation
+from maninmaps.cli import Manifest
+from maninmaps.elliptic import curve_places, twist_exponent
+from maninmaps.pdescent import _short_with_point, _table_expectation
 
+import local_oracle
 from conftest import (
     legendre,
     legendre_cover_2,
+    legendre_cover_a,
     place,
     reduction_corpus,
     sextic_point_curve,
@@ -338,3 +343,113 @@ def test_hasse_section_degree():
     E, _, _ = legendre_cover_2(PrimeField(5))
     sec = hasse_invariant_section(E)
     assert divisor(sec).degree == 4 * deg_omega(E)
+
+
+# -- local data against the minimal-model oracle
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisError:
+        return "refused"
+
+
+def _local_mismatches(E, P, seen):
+    """Compare kodaira_type and in_identity_component(nP), n <= 6 or until
+    nP = O, with the minimal-model oracle at every curve place.
+
+    Returns the mismatches; adds to ``seen`` the cases the comparison met.
+    """
+    multiples = [P]
+    # x(nP) grows like n^2 deg x(P): stop once it passes degree 60, which only
+    # the combination 3 P3 - P2 of the biquadratic manifest does (at n = 2)
+    while len(multiples) < 6 and multiples[-1].x.num.degree <= 60:
+        multiples.append(multiples[-1] + P)
+        if multiples[-1].is_zero:
+            break
+    mismatches = []
+    for v in curve_places(E):
+        k = twist_exponent(E, v)
+        if k and not v.is_infinity:
+            seen.add("finite k > 0" if k > 0 else "finite k < 0")
+        kt = kodaira_type(E, v)
+        if kt != local_oracle.kodaira_type(E, v):
+            mismatches.append(("kodaira_type", E, v))
+        for n, Q in enumerate(multiples, 1):
+            got = _outcome(in_identity_component, E, Q, v)
+            if got != _outcome(local_oracle.in_identity_component, E, Q, v):
+                mismatches.append(("in_identity_component", E, n, P, v))
+            if got is False:
+                seen.add("on node")
+            elif got == "refused" and kt.is_additive:
+                seen.add("additive refusal")
+    return mismatches
+
+
+def _twist(E, P, c):
+    """The model and point moved by (a4, a6, x, y) -> (c^4 a4, c^6 a6, c^2 x, c^3 y)."""
+    E, P = _short_with_point(E, P)
+    Ec = WeierstrassModel.short(E.field, E.a4 * c ** 4, E.a6 * c ** 6)
+    return Ec, CurvePoint(Ec, P.x * c ** 2, P.y * c ** 3)
+
+
+def _oracle_corpus():
+    """[(model, point)]: the bundled manifests, Legendre with its 2-torsion
+    and Legendre covers over F_5..F_13, the covers also twisted by
+    (s + 1)^(+-1) so that finite places with k != 0 occur."""
+    out = []
+    for path in sorted(MANIFESTS.glob("*.cfg")):
+        man = Manifest(str(path))
+        out.extend((man.model, P) for P in man.points.values())
+    for constants in (QQ, PrimeField(5)):
+        K = FunctionField(constants, "t")
+        E = legendre(K)
+        out.extend((E, CurvePoint(E, x, K.zero)) for x in (K.zero, K.one, K.gen))
+    for p in (5, 7, 11, 13):
+        for E, P, _ in (legendre_cover_2(PrimeField(p)), legendre_cover_a(PrimeField(p), 3)):
+            c = P.x.field.gen + 1
+            out += [(E, P), _twist(E, P, c), _twist(E, P, c.field.one / c)]
+    return out
+
+
+def test_local_data_matches_minimal_model_oracle():
+    seen = set()
+    mismatches = []
+    for E, P in _oracle_corpus():
+        mismatches += _local_mismatches(E, P, seen)
+    assert mismatches == []
+    assert seen == {"finite k > 0", "finite k < 0", "on node", "additive refusal"}
+
+
+def test_local_data_matches_oracle_on_drawn_curves():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    fields = [FunctionField(PrimeField(p), "u") for p in (5, 7, 11, 13)]
+    fields.append(FunctionField(QQ, "t"))
+    # (a + b T + c T^2) / (T + d)^e, e in {0, 1}
+    element = st.tuples(
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2),
+        st.integers(-2, 2), st.booleans(),
+    )
+
+    def make(K, data):
+        a, b, c, d, divide = data
+        T = K.gen
+        e = K.from_int(a) + K.from_int(b) * T + K.from_int(c) * T * T
+        return e / (T + K.from_int(d)) if divide else e
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(fields), element, element, element)
+    def check(K, a4_data, x_data, y_data):
+        a4, x, y = make(K, a4_data), make(K, x_data), make(K, y_data)
+        a6 = y * y - x ** 3 - a4 * x
+        assume(not (a4 ** 3 * 4 + a6 ** 2 * 27).is_zero())
+        E = WeierstrassModel.short(K, a4, a6)
+        assert _local_mismatches(E, CurvePoint(E, x, y), set()) == []
+
+    check()

@@ -183,7 +183,7 @@ def test_lift_tree_reports_non_coprime_factors():
 
     F5 = PrimeField(5)
     x1 = Poly(F5, [1, 1])
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match=r"mod 5: their gcd is x \+ 1"):
         _lift_tree([1, 2, 1], [x1, x1], 5, 1000)
 
 
