@@ -698,11 +698,14 @@ def _tokenize(text: str) -> list:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII only: str.isdigit also accepts "²" and "٣"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError("integer literal of %d digits is too long" % (j - i), i)
             i = j
             continue
         if c.isalpha() or c == "_":

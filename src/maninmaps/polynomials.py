@@ -11,17 +11,19 @@ or m = p^k: ``_add_mod``, ``_sub_mod``, ``_mul_mod`` (Kronecker substitution:
 pack coefficients into one big integer, multiply, unpack; word-packed, one
 ``array`` conversion per operand and one for the product, whenever every
 product coefficient fits 2, 4 or 8 bytes) and ``_divmod_mod``.
-``Poly`` multiplication and division over F_p, the multiplicity of a
+``Poly`` multiplication and division over F_p, the F_p gcd for p >= 16
+(each Euclid remainder is one ``_divmod_mod``), the multiplicity of a
 non-linear factor, Hensel lifting and factor recombination over Z/p^kZ all
-use them.  Input-specific fast paths sit beside them: the F_p gcd packs one
-coefficient per byte for p < 16, where a Euclid step cannot carry between
+use them.  Two input-specific fast paths sit beside them: the F_p gcd packs
+one coefficient per byte for p < 16, where a Euclid step cannot carry between
 bytes (every byte stays below p^2 <= 255), so each step is one big-integer
-update and one ``bytes.translate``; larger primes use a list Euclid; the
-multiplicity of a monic linear factor is a Horner loop.  Factorization is
-complete over F_p (squarefree split, distinct-degree, equal-degree) and over
-Q uses squarefree decomposition, a Hensel-lifted modular factorization and
-subset recombination (Zassenhaus), with modular degree patterns used to
-certify irreducibility.
+update and one ``bytes.translate``; the multiplicity of a monic linear factor
+is a Horner loop.  The gcd over Q combines gcds modulo primes below 2^31 by
+CRT.  Factorization is complete over F_p (squarefree split, distinct-degree,
+equal-degree) and over Q uses squarefree decomposition, a modular
+factorization lifted by splitting off one factor at a time (Hensel) and
+capped subset recombination (Zassenhaus), with modular degree patterns used
+to certify irreducibility.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 from array import array
 from fractions import Fraction
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, NotFoundError
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +589,7 @@ def _gcd_mod_p(fa: list, fb: list, p: int):
     if p < 16:
         return _gcd_bytes(a, b, p)
     while b:
-        inv = pow(b[-1], -1, p)
-        n = len(b)
-        while len(a) >= n:
-            c = a[-1] * inv % p
-            off = len(a) - n
-            a[off:] = [(x - c * y) % p for x, y in zip(a[off:], b)]
-            _trim(a)
-        a, b = b, a
+        a, b = b, _divmod_mod(a, b, p)[1]
     if not a:
         return []
     inv = pow(a[-1], -1, p)
@@ -659,17 +654,19 @@ def _mul_qq(a, b) -> list:
     return [Fraction(c, d) for c in out]
 
 
-def _large_primes():
-    out = []
-    n = 2 ** 31 - 1
-    while len(out) < 40:
-        if is_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
+# descending primes below 2^31 for the modular gcd over Q, each searched for
+# once per process, when it is first drawn
+_GCD_PRIMES = [2 ** 31 - 1]
 
 
-_GCD_PRIMES = _large_primes()
+def _gcd_primes():
+    for i in itertools.count():
+        if i == len(_GCD_PRIMES):
+            n = _GCD_PRIMES[-1] - 2
+            while not is_prime(n):
+                n -= 2
+            _GCD_PRIMES.append(n)
+        yield _GCD_PRIMES[i]
 
 
 def _gcd_qq(a: Poly, b: Poly) -> Poly:
@@ -678,6 +675,9 @@ def _gcd_qq(a: Poly, b: Poly) -> Poly:
     Images of lc_g * (monic gcd mod p) are combined by CRT and the centered
     lift is accepted once it divides both inputs; degrees mod an unlucky
     prime can only be too high, so tracking the minimum keeps this sound.
+    Unlucky primes divide a nonzero resultant, so with primes drawn for as
+    long as needed the CRT modulus passes the coefficient bound and the
+    loop ends.
     """
     fa = _to_int_primitive(a)
     fb = _to_int_primitive(b)
@@ -685,7 +685,7 @@ def _gcd_qq(a: Poly, b: Poly) -> Poly:
     best_deg = None
     crt_mod = 1
     crt = None
-    for p in _GCD_PRIMES:
+    for p in _gcd_primes():
         if fa[-1] % p == 0 or fb[-1] % p == 0:
             continue
         gp = _gcd_mod_p(fa, fb, p)
@@ -717,38 +717,11 @@ def _gcd_qq(a: Poly, b: Poly) -> Poly:
         if qb is None or any(rb):
             continue
         return Poly(a.field, [Fraction(c) for c in cand]).monic()
-    # all primes exhausted: fall back to the pseudo-remainder sequence
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        fa, fb = fb, _prem_primitive(fa, fb)
-    g = Poly(a.field, [Fraction(c) for c in fa])
-    return g.monic()
 
 
 def _to_int_primitive(f: Poly) -> list:
     """The primitive integer multiple of f with positive leading coefficient."""
     return _primitive(_clear_denominators(f.coeffs)[1])
-
-
-def _prem_primitive(a: list, b: list) -> list:
-    """Primitive pseudo-remainder of integer coefficient lists."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        la = a[-1]
-        g = math.gcd(la, lb)
-        ma, mb = lb // g, la // g
-        a = [c * ma for c in a]
-        shift = len(a) - 1 - db
-        for j, cb in enumerate(b):
-            a[shift + j] -= mb * cb
-        while a and a[-1] == 0:
-            a.pop()
-    if not a:
-        return []
-    g = math.gcd(*a)
-    return [c // g for c in a]
 
 
 # ---------------------------------------------------------------------------
@@ -916,68 +889,39 @@ def _hensel_step(f, g, h, s, t, m):
     return g1, h1, s1, t1
 
 
-def _lift_tree(f_ints: list, facs: list, p: int, target: int) -> list:
-    """Lift monic factors of f mod p to monic factors mod p^(2^j) >= target.
+def _hensel_lift(f_ints: list, facs: list, p: int, target: int) -> tuple:
+    """(lifts, m): monic factors of f mod p lifted to monic factors mod m.
 
-    f_ints = lc * prod(facs) mod p.  A binary tree of factor groups is built
-    once mod p and every pair is re-lifted top-down at each precision
-    doubling, so each node's parent value is always current.
+    m is the first p^(2^j) >= target, and f_ints = lc * prod(facs) mod p.
+    The first factor, times lc, is split off the product of the rest and the
+    pair is lifted to m; the lifted rest is monic and is split the same way.
+    Lifts are unique, so the order of the splits does not change the result.
     """
     field = PrimeField(p)
-
-    def build(lc_int, group):
-        if len(group) == 1:
-            return {"leaf": True}
-        half = len(group) // 2
-        left, right = group[:half], group[half:]
-        gp = Poly.const(field, field.from_int(lc_int))
-        for q in left:
-            gp = gp * q
-        hp = Poly.one(field)
-        for q in right:
-            hp = hp * q
-        gcd, sp, tp = gp.xgcd(hp)
+    m = p
+    while m < target:
+        m *= m
+    rest, lc, out = f_ints, f_ints[-1], []
+    for fac in facs[:-1]:
+        g = fac.scale(field.from_int(lc))
+        h = Poly.from_int_coeffs(field, rest) // g
+        gcd, s, t = g.xgcd(h)
         if not gcd.is_one():
             raise ConsistencyError(
                 "modular factors are not coprime mod %d: their gcd is %s" % (p, gcd)
             )
-        return {
-            "leaf": False,
-            "g": [int(c) for c in gp.coeffs],
-            "h": [int(c) for c in hp.coeffs],
-            "s": [int(c) for c in sp.coeffs],
-            "t": [int(c) for c in tp.coeffs],
-            "left": build(lc_int, left),
-            "right": build(1, right),
-        }
-
-    root = build(f_ints[-1] % p, facs)
-    m = p
-    while m < target:
-        def step(node, fv):
-            if node["leaf"]:
-                return
-            node["g"], node["h"], node["s"], node["t"] = _hensel_step(
-                fv, node["g"], node["h"], node["s"], node["t"], m
-            )
-            step(node["left"], node["g"])
-            step(node["right"], node["h"])
-
-        step(root, f_ints)
-        m *= m
-
-    out = []
-
-    def collect(node, fv):
-        if node["leaf"]:
-            inv = pow(fv[-1] % m, -1, m)
-            out.append(_trim([c * inv % m for c in fv]))
-            return
-        collect(node["left"], node["g"])
-        collect(node["right"], node["h"])
-
-    collect(root, [c % m for c in f_ints])
-    return out
+        g, h, s, t = (list(u.coeffs) for u in (g, h, s, t))
+        k = p
+        while k < m:
+            g, h, s, t = _hensel_step(rest, g, h, s, t, k)
+            k *= k
+        out.append(g)
+        rest, lc = h, 1
+    out.append(rest)
+    for i, g in enumerate(out):
+        inv = pow(g[-1], -1, m)
+        out[i] = _trim([c * inv % m for c in g])
+    return out, m
 
 
 def _center(c: int, m: int) -> int:
@@ -1033,12 +977,14 @@ def _factor_zz_squarefree(ints: list) -> list:
     p, facs = best
     facs = sorted(facs, key=lambda g: (g.degree, g.coeffs))
     bound = (1 << n) * (math.isqrt(norm2) + 1) * abs(ints[-1])
-    target = 2 * bound + 1
-    lifted = _lift_tree(list(ints), facs, p, target)
-    m = p
-    while m < target:
-        m *= m
-    return _recombine(list(ints), lifted, m)
+    lifted, m = _hensel_lift(ints, facs, p, 2 * bound + 1)
+    return _recombine(ints, lifted, m)
+
+
+# subsets _recombine tries before it gives up, since their number grows
+# exponentially with the modular factors; the inputs in the tests and the
+# benchmark stay far below it
+_RECOMBINE_MAX = 20000
 
 
 def _recombine(f: list, lifted: list, m: int) -> list:
@@ -1046,9 +992,16 @@ def _recombine(f: list, lifted: list, m: int) -> list:
     out = []
     idxs = list(range(len(lifted)))
     size = 1
+    tried = 0
     while 2 * size <= len(idxs):
         found = None
         for combo in itertools.combinations(idxs, size):
+            tried += 1
+            if tried > _RECOMBINE_MAX:
+                raise NotFoundError(
+                    "recombining %d modular factors needs more than %d subset trials"
+                    % (len(lifted), _RECOMBINE_MAX)
+                )
             cand = [f[-1] % m]
             for i in combo:
                 cand = _mul_mod(cand, lifted[i], m)

@@ -135,6 +135,18 @@ def test_exit_two_on_syntax_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_exit_two_on_unreadable_integers(capsys, tmp_path):
+    for name, cubic in (("superscript", "x^3 + t*x^\u00b2"), ("long", "x^3 + " + "7" * 5000)):
+        bad = tmp_path / (name + ".cfg")
+        bad.write_text(
+            "[field]\ncharacteristic = 0\n[curve]\nvariable = t\ncubic = %s\n" % cubic,
+            encoding="utf-8",
+        )
+        code, doc = run_json(capsys, "invariants", str(bad))
+        assert code == 2
+        assert "error" in doc
+
+
 def test_exit_one_on_hypothesis_failure(capsys, tmp_path):
     # additive reduction: the semistable tangency bound must refuse
     man = tmp_path / "additive.cfg"

@@ -223,6 +223,14 @@ def test_place_rejects_reducible_polynomial(Kt):
     Kt.place(Kt.poly([-2, 0, 1]))
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "\u0663*t", "1" * 5000],
+                         ids=["superscript-two", "arabic-indic-three", "5000-digits"])
+def test_parse_rejects_non_ascii_and_overlong_integers(Kt, text):
+    # str.isdigit accepts the first two, and int() refuses all three
+    with pytest.raises(ParseError):
+        parse(text, Kt)
+
+
 def test_parse_rejects_negative_exponent(Kt):
     with pytest.raises(ParseError):
         parse("t^-2", Kt)

@@ -1,6 +1,7 @@
 """Differential tests for the F_p gcd kernel on both sides of the p < 16 switch.
 
-Primes below 16 run the byte-packed Euclid, the others the list Euclid.
+Primes below 16 run the byte-packed Euclid, the others a Euclid whose
+remainders come from the shared `_divmod_mod` kernel.
 Each case is checked against sympy's GF(p) gcd and a plain Euclid written
 here.
 """
@@ -145,6 +146,6 @@ def psi_44():
 @pytest.mark.parametrize("p", (5, 17))
 def test_division_value_of_degree_900(psi_44, p):
     # squarefree test of psi_44 of legendre-f5 over F_5, and the same integer
-    # list read over F_17 for the list Euclid at this size
+    # list read over F_17 for the `_divmod_mod` Euclid at this size
     dpsi = [i * c for i, c in enumerate(psi_44)][1:]
     check(psi_44, dpsi, p)

@@ -5,7 +5,9 @@
 also on both sides of each of its packing widths.  ``Poly.xgcd``
 is checked by its Bezout identity over Q and F_p and through residue-field
 inverses; ``factor`` over Q, whose Hensel lifting and recombination run on
-these kernels modulo p^k, is checked against sympy's ``factor_list``.
+these kernels modulo p^k, is checked against sympy's ``factor_list``, and
+its subset recombination against its cap.  The gcd over Q is checked on an
+input whose CRT needs more than forty primes.
 """
 
 import random
@@ -14,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import maninmaps.polynomials as polys
+from maninmaps.errors import NotFoundError
 from maninmaps.polynomials import (
     Poly,
     PrimeField,
@@ -270,7 +273,30 @@ def test_factor_over_q_matches_sympy_with_many_modular_factors(name, f, monkeypa
     polys._FACTOR_CACHE.clear()
     got = {(str(g), m) for g, m in factor(f)}
     assert got == sympy_factors(f)
-    assert max(sizes) >= 4  # the lifting tree and subset search really ran
+    assert max(sizes) >= 4  # the Hensel lift and subset search really ran
+
+
+def test_gcd_over_q_draws_primes_past_forty():
+    # the CRT of lc * (x + N) needs a modulus past 2N, 1,428 bits: more than
+    # forty primes below 2^31
+    N = 3 ** 900 + 7
+    assert (2 * N).bit_length() > 40 * 31
+    a = qpoly(N, 1) * qpoly(1, 1)
+    b = qpoly(N, 1) * qpoly(2, 1)
+    assert a.gcd(b) == qpoly(N, 1)
+    assert b.gcd(a) == qpoly(N, 1)
+
+
+def test_recombine_cap_raises_not_found(monkeypatch):
+    # SD8 splits into at least four factors modulo every prime, so an
+    # irreducibility proof by subsets tries more than three of them
+    monkeypatch.setattr(polys, "_RECOMBINE_MAX", 3)
+    polys._FACTOR_CACHE.clear()
+    with pytest.raises(NotFoundError, match=r"recombining \d+ modular factors needs more than 3 subset"):
+        factor(SD8)
+    monkeypatch.undo()
+    assert {(str(g), m) for g, m in factor(SD8)} == sympy_factors(SD8)
+    polys._FACTOR_CACHE.clear()
 
 
 def test_factor_cache_stays_bounded(monkeypatch):

@@ -177,14 +177,14 @@ def test_factor_zz_refuses_non_squarefree_input():
 
 def test_lift_tree_reports_non_coprime_factors():
     # x + 1 twice is not a coprime factorization of (x + 1)^2 mod 5: the
-    # lifting tree must name the broken invariant, not fail on a lookup
+    # Hensel lift must name the broken invariant, not fail on a lookup
     from maninmaps.errors import ConsistencyError
-    from maninmaps.polynomials import _lift_tree
+    from maninmaps.polynomials import _hensel_lift
 
     F5 = PrimeField(5)
     x1 = Poly(F5, [1, 1])
     with pytest.raises(ConsistencyError, match=r"mod 5: their gcd is x \+ 1"):
-        _lift_tree([1, 2, 1], [x1, x1], 5, 1000)
+        _hensel_lift([1, 2, 1], [x1, x1], 5, 1000)
 
 
 @pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=["F5", "Q"])

@@ -1,0 +1,77 @@
+"""Properties of the gcd and factorization over Q, with sympy as the oracle.
+
+``Poly.gcd`` over Q (modular gcds combined by CRT) must equal sympy's monic
+gcd on drawn ``g*u`` and ``g*w``; ``factor`` over Q (modular factors lifted
+by Hensel splits and recombined by subsets) must equal ``factor_list``; and
+over Q and F_7 the factors must multiply back to the monic input.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import maninmaps.polynomials as polys
+from maninmaps.polynomials import Poly, PrimeField, QQ, factor
+
+from test_modular_kernels import sympy_factors
+
+X = sympy.Symbol("x")
+F7 = PrimeField(7)
+
+rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def qq_poly(max_degree):
+    coeffs = st.lists(rational, min_size=2, max_size=max_degree + 1)
+    return coeffs.map(lambda cs: Poly(QQ, cs)).filter(lambda f: not f.is_constant())
+
+
+def to_sympy(f):
+    return sum(sympy.Rational(c.numerator, c.denominator) * X ** i for i, c in enumerate(f.coeffs))
+
+
+def from_sympy(expr):
+    cs = reversed(sympy.Poly(expr, X, domain="QQ").all_coeffs())
+    return Poly(QQ, [Fraction(int(c.p), int(c.q)) for c in cs])
+
+
+def product(pairs, field):
+    out = Poly.one(field)
+    for g, m in pairs:
+        out = out * g ** m
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(qq_poly(3), qq_poly(4), qq_poly(4))
+def test_gcd_over_q_matches_sympy(g, u, w):
+    a, b = g * u, g * w
+    want = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))).monic()
+    assert a.gcd(b) == want
+    assert b.gcd(a) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(qq_poly(3), min_size=1, max_size=3), st.integers(1, 2))
+def test_factor_over_q_matches_sympy(parts, power):
+    f = product([(parts[0], power)] + [(h, 1) for h in parts[1:]], QQ)
+    polys._FACTOR_CACHE.clear()
+    got = factor(f)
+    assert {(str(g), m) for g, m in got} == sympy_factors(f)
+    assert product(got, QQ) == f.monic()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=5), min_size=1, max_size=3))
+def test_factor_over_f7_multiplies_back(parts):
+    f = product([(Poly(F7, cs), 1) for cs in parts], F7)
+    if f.is_zero():
+        return
+    got = factor(f)
+    assert all(g.leading == 1 and m > 0 for g, m in got)
+    assert product(got, F7) == f.monic()
