@@ -52,16 +52,14 @@ class Manifest:
         cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
         cp.optionxform = str
         try:
-            read = cp.read(path)
-        except configparser.Error as exc:
+            read = cp.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise InputError("bad manifest: %s" % exc)
         if not read:
             raise InputError("cannot read manifest %r" % path)
         self.path = path
-        try:
-            char = int(cp.get("field", "characteristic", fallback="0"))
-        except ValueError:
-            raise InputError("characteristic must be an integer")
+        char = _manifest_int(cp.get("field", "characteristic", fallback="0"),
+                             "characteristic must be an integer")
         constants = QQ if char == 0 else PrimeField(char)
         if not cp.has_section("curve"):
             raise InputError("manifest needs a [curve] section")
@@ -155,10 +153,8 @@ class Manifest:
         if cp.has_section("params"):
             for key, val in cp.items("params"):
                 if key in ("n_max", "pole_bound"):
-                    try:
-                        self.params[key] = int(val)
-                    except ValueError:
-                        raise InputError("%s must be an integer, got %r" % (key, val))
+                    self.params[key] = _manifest_int(
+                        val, "%s must be an integer, got %r" % (key, val))
                 elif key == "point":
                     self.params[key] = val.strip()
                 else:
@@ -173,6 +169,17 @@ class Manifest:
         if name not in self.points:
             raise InputError("no point named %r in the manifest" % name)
         return self.points[name]
+
+
+def _manifest_int(text: str, message: str) -> int:
+    """An optional '-' and ASCII digits; int() alone also takes other Unicode digits and '_'."""
+    body = text[1:] if text.startswith("-") else text
+    try:
+        if body.isascii() and body.isdigit():
+            return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        pass
+    raise InputError(message)
 
 
 def _split_pair(text: str):

@@ -8,7 +8,9 @@ constant field are handled.
 
 Also here: polynomials in an auxiliary variable x over the function field
 (``XPoly``/``RatX``), covers of the line given by rational substitutions,
-and the expression parser used by the CLI.
+and the expression parser used by the CLI.  ``XPoly.cleared`` writes an
+x-polynomial as numerators in k[t][x] over one denominator in k[t]; the gcd
+in x is a primitive remainder sequence there, with no field element built.
 """
 
 from __future__ import annotations
@@ -406,8 +408,24 @@ def pullback(phi: CoverMap, f: FieldElement) -> FieldElement:
 # polynomials and rational functions in x over K
 
 
+class _PolyRing:
+    """k[var] as the coefficient ring of the XPolys that ``XPoly.cleared`` returns."""
+
+    def __init__(self, constants):
+        self.constants, self.zero, self.one = constants, Poly.zero(constants), Poly.one(constants)
+
+    def from_int(self, n: int) -> Poly:
+        return Poly.const(self.constants, self.constants.from_int(n))
+
+    def __eq__(self, other):
+        return isinstance(other, _PolyRing) and self.constants == other.constants
+
+    def __hash__(self):
+        return hash(self.constants)
+
+
 class XPoly:
-    """Polynomial in x with FieldElement coefficients."""
+    """Polynomial in x over K = k(t), or over k[t] once ``cleared`` (ring operations only)."""
 
     __slots__ = ("field", "coeffs")
 
@@ -529,11 +547,20 @@ class XPoly:
             return self
         return self.scale(self.field.one / self.leading)
 
+    def cleared(self):
+        """(P, den) with self = P/den, P over k[t] and den the monic lcm of denominators."""
+        den = Poly.one(self.field.constants)
+        for c in self.coeffs:
+            den = den * (c.den // den.gcd(c.den))
+        nums = [c.num if c.den == den else c.num * (den // c.den) for c in self.coeffs]
+        return XPoly(_PolyRing(self.field.constants), nums), den
+
     def gcd(self, other):
-        a, b = self, other
+        """Monic gcd over K by a primitive remainder sequence in k[t][x] (Gauss's lemma)."""
+        a, b = _primitive(self.cleared()[0]), _primitive(other.cleared()[0])
         while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+            a, b = b, _primitive(_prem(a, b))
+        return XPoly(self.field, [FieldElement(self.field, c, a.leading) for c in a.coeffs])
 
     def derivative_x(self):
         return XPoly(
@@ -574,6 +601,28 @@ class XPoly:
 
     def __repr__(self):
         return "XPoly(%s)" % self
+
+
+def _primitive(p: XPoly) -> XPoly:
+    """p over k[t] divided by its content (``Poly.gcd``), its lc made monic in t."""
+    g = p.leading
+    for c in p.coeffs:
+        g = g if g.is_constant() else g.gcd(c)
+    g = g.monic().scale(p.leading.leading)
+    return p if g.is_one() else XPoly(p.field, [c // g for c in p.coeffs])
+
+
+def _prem(a: XPoly, b: XPoly) -> XPoly:
+    """lc(b)^k a mod b over k[t], k the number of reduction steps (0 if deg a < deg b)."""
+    r, lb, db = list(a.coeffs), b.leading, b.degree
+    while len(r) > db:
+        d, c = len(r) - 1 - db, r.pop()
+        r = r if lb.is_one() else [lb * x for x in r]
+        for j in range(db):
+            r[d + j] = r[d + j] - c * b.coeffs[j]
+        while r and r[-1].is_zero():
+            r.pop()
+    return XPoly(a.field, r)
 
 
 class RatX:
@@ -661,13 +710,6 @@ class RatX:
         if n < 0:
             return (RatX(self.field, XPoly.one(self.field)) / self) ** (-n)
         return RatX(self.field, self.num ** n, self.den ** n)
-
-    def derivative_x(self):
-        return RatX(
-            self.field,
-            self.num.derivative_x() * self.den - self.num * self.den.derivative_x(),
-            self.den * self.den,
-        )
 
     def evaluate(self, point: FieldElement) -> FieldElement:
         dval = self.den.evaluate(point)

@@ -12,7 +12,8 @@ that does not depend on the derivation, the model, or the scaling of L.
 The exceptional set S collects bad reduction and the places where the
 classifying map is not an immersion, read off from dj against j = 0, 1728;
 off S the order of the section is the contact excess of the point with the
-leaves through it, and the degree of the bundle bounds the total.
+leaves through it, and the degree of the bundle bounds the total.  Exactness
+is tested on numerators cleared into k[t][x], fraction-free.
 """
 
 from __future__ import annotations
@@ -87,33 +88,42 @@ class PFOperator:
 def _exactness_holds(E: WeierstrassModel, L: PFOperator) -> bool:
     """Whether A d^2(1/y) + B d(1/y) + C/y equals the dx-coefficient of dF.
 
-    Everything is compared by cross-multiplication of x-polynomials, with
-    d(1/y) = -df/(2 y^3), d^2(1/y) = -ddf/(2 y^3) + 3 df^2/(4 y^5) and odd
-    powers of 1/y rewritten as y/f^k on the curve, so no rational-function
-    normalization in x is ever needed.
+    With d(1/y) = -df/(2 y^3), d^2(1/y) = -ddf/(2 y^3) + 3 df^2/(4 y^5) and
+    odd powers of 1/y rewritten as y/f^k, the left side is y NL/(4 f^3) with
+    NL = A(-2 ddf f + 3 df^2) - 2B df f + 4C f^2.  For the witness
+    rx + y ry with ry = N/D, rx must be constant in x and the right side is
+    y RN/(2 D^2 f) with RN = (N'D - N D') 2f + N D f' (' = d/dx, d = d/dt).
+
+    The test runs fraction-free in k[t][x] (``XPoly.cleared``): f = F/delta,
+    A = a/alpha, B = b/beta, C = c/gamma, ry = (N/nu)/(D/eta).  Then
+    df = G/delta^2, G = F_t delta - F delta_t, and ddf = H/delta^3,
+    H = G_t delta - 2 G delta_t, so alpha beta gamma delta^4 NL equals
+    NL~ = a beta gamma (-2HF + 3G^2) - 2 b alpha gamma G F delta
+    + 4 c alpha beta F^2 delta^2, and RN = RN~/(nu eta delta) with RN~ the
+    same formula in N, D, F.  Multiplying NL 2 D^2 f = RN 4 f^3 by
+    alpha beta gamma delta^5 eta^2 nu and cancelling F != 0 leaves
+    2 nu NL~ D^2 = 4 alpha beta gamma delta eta RN~ F^2.  rx = P/Q is
+    constant in x iff the Wronskian P'Q - P Q' of its cleared parts is 0.
     """
-    K = E.field
-    f = E.cubic()
-    df = f.map_coeffs(lambda c: c.derive())
-    ddf = f.map_coeffs(lambda c: c.derive().derive())
-    two = K.from_int(2)
-    # left side = y * NL / (4 f^3)
-    NL = (
-        (-(ddf * f).scale(two) + (df * df).scale(K.from_int(3))).scale(L.A)
-        - (df * f).scale(two * L.B)
-        + (f * f).scale(K.from_int(4) * L.C)
-    )
-    DL = (f * f * f).scale(K.from_int(4))
-    # the x-part of F must be constant in x
-    rx, ry = L.F.rx, L.F.ry
-    if not (rx.num.derivative_x() * rx.den - rx.num * rx.den.derivative_x()).is_zero():
+    P, Q = L.F.rx.num.cleared()[0], L.F.rx.den.cleared()[0]
+    if not (P.derivative_x() * Q - P * Q.derivative_x()).is_zero():
         return False
-    # right side y-part = ((N'D - N D') 2 f + N D f') / (2 D^2 f)
-    N, D = ry.num, ry.den
-    fx = f.derivative_x()
-    RN = (N.derivative_x() * D - N * D.derivative_x()) * f.scale(two) + N * D * fx
-    RD = (D * D * f).scale(two)
-    return NL * RD == RN * DL
+    F, delta = E.cubic().cleared()
+    two, three, four = (F.field.from_int(n) for n in (2, 3, 4))
+    d_t = lambda p: p.map_coeffs(lambda c: c.derivative())  # noqa: E731
+    G = d_t(F).scale(delta) - F.scale(delta.derivative())
+    H = d_t(G).scale(delta) - G.scale(two * delta.derivative())
+    (a, alpha), (b, beta), (c, gamma) = ((e.num, e.den) for e in (L.A, L.B, L.C))
+    NL = (
+        ((G * G).scale(three) - (H * F).scale(two)).scale(a * beta * gamma)
+        - (G * F).scale(two * b * alpha * gamma * delta)
+        + (F * F).scale(four * c * alpha * beta * delta * delta)
+    )
+    (N, nu), (D, eta) = L.F.ry.num.cleared(), L.F.ry.den.cleared()
+    RN = (N.derivative_x() * D - N * D.derivative_x()) * F.scale(two) + N * D * F.derivative_x()
+    return (NL * D * D).scale(two * nu) == (RN * F * F).scale(
+        four * alpha * beta * gamma * delta * eta
+    )
 
 
 def verify_pf(E: WeierstrassModel, L: PFOperator) -> bool:
@@ -194,9 +204,7 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
         )
     ncoeffs = [v * scale for v in solution[3:]]
     N = XPoly(K, ncoeffs)
-    f_ratx = RatX.from_xpoly(f)
-    ry = RatX.from_xpoly(N) / (f_ratx * f_ratx)
-    F = CurveFunction(E, RatX(K, XPoly.zero(K)), ry)
+    F = CurveFunction(E, RatX(K, XPoly.zero(K)), RatX(K, N, f * f))
     L = PFOperator(A, B, C, F)
     if not verify_pf(E, L):
         raise ConsistencyError("solved operator failed verification on %s" % E)

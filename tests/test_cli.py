@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from maninmaps import FunctionField, PrimeField, QQ, parse_element
@@ -145,6 +148,46 @@ def test_exit_two_on_unreadable_integers(capsys, tmp_path):
         code, doc = run_json(capsys, "invariants", str(bad))
         assert code == 2
         assert "error" in doc
+
+
+def test_exit_two_on_non_ascii_manifest_integers(capsys, tmp_path):
+    # int() reads any Unicode decimal digit and "_" separators: "\u0665" would
+    # silently select F_5 and "1_0" would be read as 10
+    legendre = "[curve]\nvariable = t\ncubic = x^3 - (1+t)*x^2 + t*x\n"
+    for name, text, key in (
+        ("arabic-char", "[field]\ncharacteristic = \u0665\n" + legendre, "characteristic"),
+        ("arabic-nmax", legendre + "[params]\nn_max = \u0663\u0660\n", "n_max"),
+        ("underscore", legendre + "[params]\nn_max = 1_0\n", "n_max"),
+    ):
+        man = tmp_path / (name + ".cfg")
+        man.write_text(text, encoding="utf-8")
+        code, doc = run_json(capsys, "invariants", str(man))
+        assert code == 2, name
+        assert key in doc["error"]
+    man = tmp_path / "negative.cfg"
+    man.write_text(legendre + "[params]\npole_bound = -2\n")
+    code, doc = run_json(capsys, "find-pf", str(man))
+    assert code == 2 and "pole_bound" in doc["error"]
+
+
+def test_exit_two_on_undecodable_manifest_under_c_locale(tmp_path):
+    # the manifest is read as UTF-8 whatever the locale; bytes that are not
+    # UTF-8 are unusable input, not a traceback
+    cubic = "[field]\ncharacteristic = 0\n[curve]\nvariable = t\ncubic = %s\n"
+    utf8 = tmp_path / "superscript.cfg"
+    utf8.write_bytes((cubic % "x^3 + t*x^\u00b2").encode("utf-8"))
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(("# caf\u00e9\n" + cubic % "x^3 + t*x").encode("latin-1"))
+    env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(MANIFESTS.parent / "src"))
+    for man in (utf8, latin1):
+        proc = subprocess.run(
+            [sys.executable, "-m", "maninmaps.cli", "invariants", str(man)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr.decode("utf-8", "replace")
+        assert "error" in json.loads(proc.stdout)
+        assert b"Traceback" not in proc.stderr
 
 
 def test_exit_one_on_hypothesis_failure(capsys, tmp_path):
