@@ -182,6 +182,14 @@ def _manifest_int(text: str, message: str) -> int:
     raise InputError(message)
 
 
+def _option_int(text: str) -> int:
+    """An --n-max or --pole-bound value, read by the manifest's integer rule."""
+    try:
+        return _manifest_int(text, "")
+    except InputError:
+        raise argparse.ArgumentTypeError("invalid integer %r" % text) from None
+
+
 def _split_pair(text: str):
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
@@ -468,9 +476,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("manifest", help="path to a manifest file")
     parser.add_argument("--point", default=None, help="named point to act on")
-    parser.add_argument("--n-max", dest="n_max", type=int, default=None,
+    parser.add_argument("--n-max", dest="n_max", type=_option_int, default=None,
                         help="largest multiple scanned for contacts (default 30)")
-    parser.add_argument("--pole-bound", dest="pole_bound", type=int, default=None,
+    parser.add_argument("--pole-bound", dest="pole_bound", type=_option_int, default=None,
                         help="degree bound for operator coefficients (default 4)")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True)

@@ -25,7 +25,7 @@ from .funcfield import (
     eval_ast,
     ord_at,
     parse_ast,
-    places_of_poly,
+    support_places,
 )
 
 
@@ -240,8 +240,9 @@ def scalar_mul(n: int, P: CurvePoint) -> CurvePoint:
     while n:
         if n & 1:
             R = add(R, Q)
-        Q = add(Q, Q)
         n >>= 1
+        if n:
+            Q = add(Q, Q)
     return R
 
 
@@ -356,30 +357,12 @@ def kodaira_type(E: WeierstrassModel, v: Place) -> KodairaType:
     raise ConsistencyError("no fiber type for ord(disc) = %s at %s" % (d, v))
 
 
-def curve_places(E: WeierstrassModel, extra=()) -> list:
-    """Places where anything local can happen: support of the coefficients,
-    the discriminant, anything in ``extra``, and infinity."""
+def curve_places(E: WeierstrassModel) -> list:
+    """Places where anything local can happen, sorted: the support of the
+    coefficients and of the discriminant, and infinity."""
     E = E.depress()[0]
-    hints = []
-    polys = [E.a4.num, E.a4.den, E.a6.num, E.a6.den]
-    out = []
-    for q in polys:
-        for place, _ in places_of_poly(q, E.field, hints=hints):
-            out.append(place)
-            hints.append(place.pi)
-    disc = E.discriminant()
-    for q in (disc.num, disc.den):
-        for place, _ in places_of_poly(q, E.field, hints=hints):
-            out.append(place)
-            hints.append(place.pi)
-    out.extend(extra)
-    out.append(E.field.infinity())
-    seen, uniq = set(), []
-    for p in out:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    return sorted(uniq, key=lambda p: p.sort_key())
+    places = support_places(E.a4, E.a6, E.discriminant())
+    return sorted(places, key=lambda p: p.sort_key())
 
 
 def bad_places(E: WeierstrassModel) -> list:

@@ -4,7 +4,9 @@ The base curve is always the projective line with a named coordinate, so a
 place is either a monic irreducible polynomial or the point at infinity, and
 every valuation is a multiplicity count.  Degrees of places weight every
 global count, which is how closed points over a non-algebraically-closed
-constant field are handled.
+constant field are handled.  Places come from one routine, ``support_places``
+(the factors of every numerator and denominator, plus infinity); a finite
+valuation is ``Poly.multiplicity_of``, over Q on the exact Z[x] kernel.
 
 Also here: polynomials in an auxiliary variable x over the function field
 (``XPoly``/``RatX``), covers of the line given by rational substitutions,
@@ -16,7 +18,7 @@ in x is a primitive remainder sequence there, with no field element built.
 from __future__ import annotations
 
 from .errors import ConsistencyError, InputError, ParseError
-from .polynomials import Poly, factor
+from .polynomials import Poly, factor, is_irreducible
 
 INF = float("inf")
 
@@ -213,11 +215,8 @@ class Place:
             pi = pi.monic()
             if pi.degree < 1:
                 raise InputError("a finite place needs a non-constant polynomial")
-            if pi.degree > 1:
-                from .polynomials import is_irreducible
-
-                if not is_irreducible(pi):
-                    raise InputError("a place needs an irreducible polynomial: %s" % pi)
+            if pi.degree > 1 and not is_irreducible(pi):
+                raise InputError("a place needs an irreducible polynomial: %s" % pi)
         self.field = field
         self.pi = pi
 
@@ -273,35 +272,32 @@ def derive(f: FieldElement) -> FieldElement:
     return f.derive()
 
 
-def places_of_poly(q: Poly, field: FunctionField, hints=()) -> list:
+def places_of_poly(q: Poly, field: FunctionField) -> list:
     """Finite places in the support of a nonzero polynomial, with multiplicities."""
     if q.is_constant():
         return []
-    return [(Place(field, g), m) for g, m in factor(q, hints=hints)]
+    return [(Place(field, g), m) for g, m in factor(q)]
 
 
-def support_places(f: FieldElement, hints=()) -> list:
-    """All places (finite and infinite) where f could have nonzero order."""
-    out = [p for p, _ in places_of_poly(f.num, f.field, hints=hints)]
-    out += [p for p, _ in places_of_poly(f.den, f.field, hints=hints)]
-    out.append(f.field.infinity())
-    seen, uniq = set(), []
-    for p in out:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    return uniq
+def support_places(*fs: FieldElement) -> set:
+    """All places where one of the nonzero functions fs could have nonzero order.
+
+    These are the factors of every numerator and denominator, and infinity.
+    """
+    field = fs[0].field
+    out = {field.infinity()}
+    for f in fs:
+        for q in (f.num, f.den):
+            out.update(p for p, _ in places_of_poly(q, field))
+    return out
 
 
-def divisor_of_function(f: FieldElement, hints=()) -> list:
+def divisor_of_function(f: FieldElement) -> list:
     """The divisor of a nonzero rational function as [(Place, ord)]; degree 0."""
     if f.is_zero():
         raise InputError("the zero function has no divisor")
-    out = []
-    for place, m in places_of_poly(f.num, f.field, hints=hints):
-        out.append((place, m))
-    for place, m in places_of_poly(f.den, f.field, hints=hints):
-        out.append((place, -m))
+    out = places_of_poly(f.num, f.field)
+    out += [(place, -m) for place, m in places_of_poly(f.den, f.field)]
     o_inf = f.den.degree - f.num.degree
     if o_inf:
         out.append((f.field.infinity(), o_inf))
@@ -343,10 +339,10 @@ def ord_differential(omega: Differential, place: Place) -> int:
     return ord_at(omega.coefficient, place) + correction
 
 
-def divisor_of_differential(omega: Differential, hints=()) -> list:
+def divisor_of_differential(omega: Differential) -> list:
     """Divisor of a nonzero differential; degree -2 on the line."""
     out = []
-    for place in support_places(omega.coefficient, hints=hints):
+    for place in support_places(omega.coefficient):
         o = ord_differential(omega, place)
         if o:
             out.append((place, o))

@@ -349,14 +349,9 @@ def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
     jp = j.derive()
     j1728 = j - K.from_int(1728)
     places = curve_places(E)
-    hints = [v.pi for v in places if v.pi is not None]
-    candidates = list(places)
-    seen = set(candidates)
+    candidates = set(places)
     for poly in (j.num, j1728.num, jp.num):
-        for v, _ in places_of_poly(poly, K, hints=hints):
-            if v not in seen:
-                candidates.append(v)
-                seen.add(v)
+        candidates.update(v for v, _ in places_of_poly(poly, K))
     bad = {v for v in places if not kodaira_type(E, v).is_good}
     entries = []
     for v in candidates:
@@ -407,10 +402,8 @@ def tangency_report(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> Tangen
             section=section, section_divisor=None, exceptional=S, orders={},
             t_complex=[], contact_orders={}, d=d, bound=bound, zero_section=True,
         )
-    div = divisor(section, extra_places=S.places())
-    orders = {}
-    for v in set(div.support()) | set(S.places()):
-        orders[v] = div.ord(v)
+    div = divisor(section)
+    orders = {v: div.ord(v) for v in set(div.support()) | set(S.places())}
     for v, J in orders.items():
         if v in S:
             if J < -1:

@@ -191,12 +191,7 @@ def reduction_table_report(E: WeierstrassModel) -> list:
     p = _require_charp(E)
     E, _ = _short_with_point(E)
     lam = kodaira_spencer_section(E)
-    places = [v for v, _ in divisor(lam).entries]
-    seen = set(places)
-    for v in curve_places(E):
-        if v not in seen:
-            places.append(v)
-            seen.add(v)
+    places = set(divisor(lam).support()) | set(curve_places(E))
     rows = []
     for v in sorted(places, key=lambda q: q.sort_key()):
         ktype = kodaira_type(E, v)

@@ -18,12 +18,16 @@ use them.  Two input-specific fast paths sit beside them: the F_p gcd packs
 one coefficient per byte for p < 16, where a Euclid step cannot carry between
 bytes (every byte stays below p^2 <= 255), so each step is one big-integer
 update and one ``bytes.translate``; the multiplicity of a monic linear factor
-is a Horner loop.  The gcd over Q combines gcds modulo primes below 2^31 by
-CRT.  Factorization is complete over F_p (squarefree split, distinct-degree,
-equal-degree) and over Q uses squarefree decomposition, a modular
-factorization lifted by splitting off one factor at a time (Hensel) and
-capped subset recombination (Zassenhaus), with modular degree patterns used
-to certify irreducibility.
+is a Horner loop.  Over Q one exact division kernel over Z,
+``_divmod_int_poly``, carries division (pseudo-division: the dividend times
+lc(divisor)^(deg difference + 1) divides exactly), the multiplicity
+(primitive integer forms, by Gauss's lemma) and the candidate tests of the
+gcd and of recombination.  The gcd over Q combines gcds modulo primes below
+2^31 by CRT.  Factorization is complete over F_p (squarefree split,
+distinct-degree, equal-degree) and over Q uses squarefree decomposition, a
+modular factorization lifted by splitting off one factor at a time (Hensel)
+and capped subset recombination (Zassenhaus), with modular degree patterns
+used to certify irreducibility.
 """
 
 from __future__ import annotations
@@ -334,27 +338,13 @@ class Poly:
         return self._divmod_qq(other)
 
     def _divmod_qq(self, other):
-        # fraction-free pseudo-division over Z; denominators restored at the end
+        # lc(B)^(deg A - deg B + 1) * A divides exactly by B over Z
+        # (pseudo-division); denominators restored at the end
         da, A = _clear_denominators(self.coeffs)
         db, B = _clear_denominators(other.coeffs)
-        n = len(B) - 1
-        L = B[-1]
-        Q = [0] * (len(A) - n)
-        R = list(A)
-        steps = 0
-        while len(R) - 1 >= n and R:
-            steps += 1
-            d = len(R) - 1 - n
-            c = R[-1]
-            for i in range(len(Q)):
-                Q[i] *= L
-            Q[d] += c
-            R = [L * ri for ri in R]
-            for j in range(len(B)):
-                R[d + j] -= c * B[j]
-            while R and R[-1] == 0:
-                R.pop()
-        denom = L ** steps * da
+        scale = B[-1] ** (len(A) - len(B) + 1)
+        Q, R = _divmod_int_poly([scale * c for c in A], B)
+        denom = scale * da
         q = [Fraction(c * db, denom) for c in Q]
         r = [Fraction(c, denom) for c in R]
         return Poly(self.field, q), Poly(self.field, r)
@@ -381,13 +371,14 @@ class Poly:
             return _multiplicity_fp(
                 list(self.coeffs), list(other.coeffs), self.field.p
             )
+        # Gauss's lemma: a primitive b divides a over Q iff it does over Z
+        a, b = _to_int_primitive(self), _to_int_primitive(other)
         k = 0
-        cur = self
         while True:
-            q, r = divmod(cur, other)
-            if not r.is_zero():
+            q, r = _divmod_int_poly(a, b)
+            if q is None or any(r):
                 return k
-            cur = q
+            a = q
             k += 1
 
     # -- calculus / evaluation
@@ -639,6 +630,22 @@ def _clear_denominators(coeffs):
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
+def _divmod_int_poly(a: list, b: list):
+    """(quotient, remainder) of integer lists if the quotient over Q is integral,
+    else (None, None)."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        if c % b[-1] != 0:
+            return None, None
+        c //= b[-1]
+        q[i] = c
+        for j, cb in enumerate(b):
+            a[i + j] -= c * cb
+    return q, a[: len(b) - 1]
+
+
 def _mul_qq(a, b) -> list:
     """Product of Fraction tuples via integer convolution over a common denominator."""
     da, ia = _clear_denominators(a)
@@ -857,21 +864,6 @@ def _factor_fp_squarefree(f: Poly) -> list:
 # factorization over Q: factor mod p, Hensel lift, recombine (Zassenhaus)
 
 
-def _divmod_int_poly(a: list, b: list):
-    """Exact-division attempt of integer coefficient lists; (quotient, remainder)."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if c % b[-1] != 0:
-            return None, None
-        c //= b[-1]
-        q[i] = c
-        for j, cb in enumerate(b):
-            a[i + j] -= c * cb
-    return q, a[: len(b) - 1]
-
-
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift: from f = gh, sg + th = 1 (mod m) to the same mod m^2.
 
@@ -1045,15 +1037,13 @@ _FACTOR_CACHE: dict = {}
 _FACTOR_CACHE_MAX = 4096
 
 
-def factor(f: Poly, hints=()) -> list:
+def factor(f: Poly) -> list:
     """Factor a nonzero polynomial into monic irreducibles.
 
     Returns [(irreducible monic Poly, multiplicity), ...] sorted by degree
-    then coefficient string; the leading unit is discarded.  ``hints`` is an
-    optional iterable of monic irreducible polynomials tried as divisors
-    first, which keeps the search cheap when the support is already known.
-    Results are cached, up to ``_FACTOR_CACHE_MAX`` entries: the same
-    polynomial recurs constantly in divisor and reduction-type computations.
+    then coefficient string; the leading unit is discarded.  Results are
+    cached, up to ``_FACTOR_CACHE_MAX`` entries: the same polynomial recurs
+    constantly in divisor and reduction-type computations.
     """
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
@@ -1061,31 +1051,16 @@ def factor(f: Poly, hints=()) -> list:
     cached = _FACTOR_CACHE.get(f)
     if cached is not None:
         return list(cached)
-    original = f
     found: dict = {}
-    for h in hints:
-        if h.is_constant() or h.degree > f.degree:
-            continue
-        m = f.multiplicity_of(h)
-        if m:
-            found[h] = found.get(h, 0) + m
-            for _ in range(m):
-                f = f // h
-    if not f.is_constant():
-        sub = _FACTOR_CACHE.get(f)
-        if sub is not None:
-            for g, mult in sub:
-                found[g] = found.get(g, 0) + mult
+    for part, mult in squarefree_decomposition(f):
+        if f.field.char == 0:
+            irreds = _factor_qq_squarefree(part)
         else:
-            for part, mult in squarefree_decomposition(f):
-                if f.field.char == 0:
-                    irreds = _factor_qq_squarefree(part)
-                else:
-                    irreds = _factor_fp_squarefree(part)
-                for g in irreds:
-                    found[g] = found.get(g, 0) + mult
+            irreds = _factor_fp_squarefree(part)
+        for g in irreds:
+            found[g] = found.get(g, 0) + mult
     result = sorted(found.items(), key=lambda gm: (gm[0].degree, str(gm[0])))
-    _FACTOR_CACHE[original] = tuple(result)
+    _FACTOR_CACHE[f] = tuple(result)
     for g, _ in result:
         _FACTOR_CACHE.setdefault(g, ((g, 1),))
     if len(_FACTOR_CACHE) > _FACTOR_CACHE_MAX:

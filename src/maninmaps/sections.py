@@ -116,7 +116,7 @@ def ord_section(S: GradedSection, v: Place) -> int:
     return ord_at(S.value, v) + k * S.weight + correction
 
 
-def divisor(S: GradedSection, extra_places=()) -> DivisorReport:
+def divisor(S: GradedSection) -> DivisorReport:
     """Full divisor of a nonzero graded section.
 
     The support is contained in the support of the value, the places where
@@ -125,13 +125,7 @@ def divisor(S: GradedSection, extra_places=()) -> DivisorReport:
     """
     if S.is_zero():
         raise InputError("divisor of the zero section")
-    places = curve_places(S.model, extra=extra_places)
-    hints = [p.pi for p in places if p.pi is not None]
-    seen = set(places)
-    for p in support_places(S.value, hints=hints):
-        if p not in seen:
-            places.append(p)
-            seen.add(p)
+    places = set(curve_places(S.model)) | support_places(S.value)
     report = DivisorReport([(v, ord_section(S, v)) for v in places])
     expected = -2 * S.diff_degree + S.weight * deg_omega(S.model)
     if report.degree != expected:

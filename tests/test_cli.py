@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from maninmaps import FunctionField, PrimeField, QQ, parse_element
 from maninmaps.cli import main
 
@@ -188,6 +190,17 @@ def test_exit_two_on_undecodable_manifest_under_c_locale(tmp_path):
         assert proc.returncode == 2, proc.stderr.decode("utf-8", "replace")
         assert "error" in json.loads(proc.stdout)
         assert b"Traceback" not in proc.stderr
+
+
+def test_exit_two_on_non_ascii_option_integers(capsys):
+    # int() would read "\u0661\u0662" and "1_2" as 12; the options follow the
+    # manifest's rule: an optional "-" and ASCII digits
+    for option in ("--n-max", "--pole-bound"):
+        for text in ("\u0661\u0662", "1_2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["descent-bound", str(MANIFESTS / "legendre-f5.cfg"), option, text])
+            assert exc.value.code == 2, (option, text)
+            assert "invalid integer" in capsys.readouterr().err
 
 
 def test_exit_one_on_hypothesis_failure(capsys, tmp_path):

@@ -214,6 +214,11 @@ def test_support_places_includes_infinity(Ks):
     f = Ks.one / (s ** 2 - 2)
     sup = support_places(f)
     assert Ks.infinity() in sup
+    # several functions: the union of their supports, each place once
+    g = (s - 1) ** 2 / (s ** 2 - 2)
+    both = support_places(f, g)
+    assert both == {Ks.infinity(), Ks.place(Ks.poly([-1, 1])), Ks.place(Ks.poly([-2, 0, 1]))}
+    assert both == support_places(f) | support_places(g)
 
 
 def test_place_rejects_reducible_polynomial(Kt):

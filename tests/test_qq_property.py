@@ -1,9 +1,13 @@
-"""Properties of the gcd and factorization over Q, with sympy as the oracle.
+"""Properties of division, multiplicity, gcd and factorization over Q.
 
-``Poly.gcd`` over Q (modular gcds combined by CRT) must equal sympy's monic
-gcd on drawn ``g*u`` and ``g*w``; ``factor`` over Q (modular factors lifted
-by Hensel splits and recombined by subsets) must equal ``factor_list``; and
-over Q and F_7 the factors must multiply back to the monic input.
+sympy is the oracle.  ``divmod`` over Q (pseudo-division on the integer
+kernel) must equal sympy's ``div``, for non-monic divisors and dividends of
+lower degree too; ``multiplicity_of`` must find k in ``b**k * g`` for a
+non-monic ``b`` coprime to ``g``; ``Poly.gcd`` over Q (modular gcds combined
+by CRT) must equal sympy's monic gcd on drawn ``g*u`` and ``g*w``;
+``factor`` over Q (modular factors lifted by Hensel splits and recombined
+by subsets) must equal ``factor_list``; and over Q and F_7 the factors must
+multiply back to the monic input.
 """
 
 from fractions import Fraction
@@ -12,7 +16,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import maninmaps.polynomials as polys
@@ -45,6 +49,26 @@ def product(pairs, field):
     for g, m in pairs:
         out = out * g ** m
     return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rational, min_size=1, max_size=7), qq_poly(4))
+def test_divmod_over_q_matches_sympy(a_coeffs, b):
+    a = Poly(QQ, a_coeffs)
+    q, r = divmod(a, b)
+    wq, wr = sympy.div(to_sympy(a), to_sympy(b), X, domain="QQ")
+    assert (q, r) == (from_sympy(wq), from_sympy(wr))
+    assert q * b + r == a and r.degree < b.degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(qq_poly(2), qq_poly(3), st.integers(0, 4),
+       st.sampled_from([Fraction(-3, 2), Fraction(5, 7), Fraction(6)]))
+def test_multiplicity_over_q_counts_powers(b, g, k, unit):
+    b = b.scale(unit)  # rescaled, so generally not monic
+    assume(b.gcd(g).is_one())
+    assert (b ** k * g).multiplicity_of(b) == k
+    assert (b ** k * g).multiplicity_of(b.monic()) == k
 
 
 @settings(max_examples=60, deadline=None)
