@@ -285,15 +285,6 @@ class KodairaType:
     def is_additive(self) -> bool:
         return self.kind != "I"
 
-    @property
-    def component_order(self) -> int:
-        """Order of the component group of the closed fiber."""
-        if self.kind == "I":
-            return max(self.m, 1)
-        if self.kind == "I*":
-            return 4
-        return {"II": 1, "III": 2, "IV": 3, "IV*": 3, "III*": 2, "II*": 1}[self.kind]
-
     def symbol(self) -> str:
         if self.kind == "I":
             return "I%d" % self.m

@@ -13,12 +13,18 @@ Also here: polynomials in an auxiliary variable x over the function field
 and the expression parser used by the CLI.  ``XPoly.cleared`` writes an
 x-polynomial as numerators in k[t][x] over one denominator in k[t]; the gcd
 in x is a primitive remainder sequence there, with no field element built.
+
+Each tower has one body.  ``XPoly`` takes its structure from
+``polynomials._DensePoly``, as ``Poly`` does, and the private base
+``_Quotient`` holds the canonical-fraction arithmetic (gcd and monic
+denominator, equality, + - * / **) of both ``FieldElement`` over k[t] and
+``RatX`` over K[x].
 """
 
 from __future__ import annotations
 
 from .errors import ConsistencyError, InputError, ParseError
-from .polynomials import Poly, factor, is_irreducible
+from .polynomials import Poly, _DensePoly, factor, is_irreducible
 
 INF = float("inf")
 
@@ -75,6 +81,9 @@ class FunctionField:
     def from_fraction(self, a: int, b: int) -> FieldElement:
         return self.from_int(a) / self.from_int(b)
 
+    def inv(self, a: FieldElement) -> FieldElement:
+        return self.one / a
+
     def infinity(self) -> Place:
         return Place(self, None)
 
@@ -82,26 +91,31 @@ class FunctionField:
         return Place(self, pi)
 
 
-class FieldElement:
-    """A rational function num/den, coprime with monic denominator."""
+class _Quotient:
+    """num/den in canonical form: coprime, with a monic denominator.
+
+    The arithmetic ``FieldElement`` (over k[t]) and ``RatX`` (over K[x])
+    share.  The polynomials supply ``gcd``, ``one`` and their coefficient
+    domain ``field``, whose ``one`` and ``inv`` make the denominator monic;
+    canonical forms make structural equality mathematical equality.
+    """
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, num: Poly, den: Poly = None):
-        if den is None:
-            den = Poly.one(field.constants)
-        if den.is_zero():
+    def __init__(self, field, num, den=None):
+        if den is not None and den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Poly.one(field.constants)
+        if den is None or num.is_zero():
+            den = num.one(num.field)
         else:
             g = num.gcd(den)
-            if not g.is_one():
+            if g.degree > 0:
                 num = num // g
                 den = den // g
+            k = den.field
             lc = den.leading
-            if lc != field.constants.one:
-                inv = field.constants.inv(lc)
+            if lc != k.one:
+                inv = k.inv(lc)
                 num = num.scale(inv)
                 den = den.scale(inv)
         self.field = field
@@ -111,74 +125,83 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_one()
+    def _coerce(self, other):
+        if type(other) is not type(self):
+            raise TypeError("cannot combine %s with %r" % (type(self).__name__, other))
+        if other.field != self.field:
+            raise InputError("mixed function fields")
+        return other
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.num == other.num
-            and self.den == other.den
-        )
+        try:
+            other = self._coerce(other)
+        except (TypeError, InputError):
+            return False
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.field, self.num, self.den))
 
-    def _coerce(self, other) -> FieldElement:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise InputError("mixed function fields")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        raise TypeError("cannot combine FieldElement with %r" % (other,))
-
     def __add__(self, other):
         other = self._coerce(other)
-        return FieldElement(
+        return type(self)(
             self.field,
             self.num * other.den + other.num * self.den,
             self.den * other.den,
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other)
-        return FieldElement(
+        return type(self)(
             self.field,
             self.num * other.den - other.num * self.den,
             self.den * other.den,
         )
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __neg__(self):
-        return FieldElement(self.field, -self.num, self.den)
+        return type(self)(self.field, -self.num, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field, self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
+        return type(self)(self.field, self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return FieldElement(self.field, self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
+            raise ZeroDivisionError("division by the zero rational function")
+        return type(self)(self.field, self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int):
         if n < 0:
-            return (self.field.one / self) ** (-n)
-        return FieldElement(self.field, self.num ** n, self.den ** n)
+            if self.is_zero():
+                raise ZeroDivisionError("division by the zero rational function")
+            return type(self)(self.field, self.den ** -n, self.num ** -n)
+        return type(self)(self.field, self.num ** n, self.den ** n)
+
+
+class FieldElement(_Quotient):
+    """A rational function num/den in K = k(t), coprime with monic denominator."""
+
+    __slots__ = ()
+
+    __init__ = _Quotient.__init__
+
+    def is_constant(self) -> bool:
+        return self.num.is_constant() and self.den.is_one()
+
+    def _coerce(self, other) -> FieldElement:
+        if isinstance(other, int):
+            return self.field.from_int(other)
+        return super()._coerce(other)
+
+    __radd__ = _Quotient.__add__
+    __rmul__ = _Quotient.__mul__
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
 
     def derive(self) -> FieldElement:
         """d/d(var) by the quotient rule."""
@@ -420,10 +443,10 @@ class _PolyRing:
         return hash(self.constants)
 
 
-class XPoly:
+class XPoly(_DensePoly):
     """Polynomial in x over K = k(t), or over k[t] once ``cleared`` (ring operations only)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
     def __init__(self, field: FunctionField, coeffs):
         cs = list(coeffs)
@@ -433,49 +456,8 @@ class XPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, (field.one,))
-
-    @classmethod
     def const(cls, c: FieldElement):
         return cls(c.field, (c,))
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, (field.zero, field.one))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
-    @property
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else self.field.zero
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, XPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -502,25 +484,14 @@ class XPoly:
     def scale(self, c: FieldElement):
         return XPoly(self.field, [c * a for a in self.coeffs])
 
-    def __pow__(self, n: int):
-        out = XPoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("XPoly division by zero")
         r = list(self.coeffs)
         d = other.degree
         if d == 0:
-            inv = self.field.one / other.coeffs[0]
-            return self.scale(inv), XPoly.zero(self.field)
-        lc_inv = self.field.one / other.leading
+            return self.scale(self.field.inv(other.coeffs[0])), XPoly.zero(self.field)
+        lc_inv = self.field.inv(other.leading)
         q = [self.field.zero] * max(0, len(r) - d)
         for i in range(len(r) - 1 - d, -1, -1):
             c = r[i + d]
@@ -531,17 +502,6 @@ class XPoly:
             for j, oc in enumerate(other.coeffs):
                 r[i + j] = r[i + j] - c * oc
         return XPoly(self.field, q), XPoly(self.field, r[:d])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self):
-        if self.is_zero() or self.leading == self.field.one:
-            return self
-        return self.scale(self.field.one / self.leading)
 
     def cleared(self):
         """(P, den) with self = P/den, P over k[t] and den the monic lcm of denominators."""
@@ -592,12 +552,6 @@ class XPoly:
                     parts.append("(%s)*%s" % (c, xi))
         return " + ".join(parts)
 
-    def __str__(self):
-        return self.to_str()
-
-    def __repr__(self):
-        return "XPoly(%s)" % self
-
 
 def _primitive(p: XPoly) -> XPoly:
     """p over k[t] divided by its content (``Poly.gcd``), its lc made monic in t."""
@@ -621,31 +575,10 @@ def _prem(a: XPoly, b: XPoly) -> XPoly:
     return XPoly(a.field, r)
 
 
-class RatX:
+class RatX(_Quotient):
     """Rational function in x over K, canonical (coprime, monic denominator)."""
 
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field, num: XPoly, den: XPoly = None):
-        if den is None:
-            den = XPoly.one(field)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in x")
-        if num.is_zero():
-            den = XPoly.one(field)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            lc = den.leading
-            if lc != field.one:
-                inv = field.one / lc
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.field = field
-        self.num = num
-        self.den = den
+    __slots__ = ()
 
     @classmethod
     def from_xpoly(cls, p: XPoly):
@@ -655,9 +588,6 @@ class RatX:
     def const(cls, c: FieldElement):
         return cls(c.field, XPoly.const(c))
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def is_xpoly(self):
         return self.den.degree == 0
 
@@ -665,47 +595,6 @@ class RatX:
         if not self.is_xpoly():
             raise InputError("x appears in a denominator")
         return self.num
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatX)
-            and self.field == other.field
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.num, self.den))
-
-    def __add__(self, other):
-        return RatX(
-            self.field,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
-
-    def __sub__(self, other):
-        return RatX(
-            self.field,
-            self.num * other.den - other.num * self.den,
-            self.den * other.den,
-        )
-
-    def __neg__(self):
-        return RatX(self.field, -self.num, self.den)
-
-    def __mul__(self, other):
-        return RatX(self.field, self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatX(self.field, self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (RatX(self.field, XPoly.one(self.field)) / self) ** (-n)
-        return RatX(self.field, self.num ** n, self.den ** n)
 
     def evaluate(self, point: FieldElement) -> FieldElement:
         dval = self.den.evaluate(point)

@@ -27,6 +27,7 @@ from .elliptic import (
     curve_places,
     deg_omega,
     kodaira_type,
+    twist_exponent,
     value_at_O,
 )
 from .errors import ConsistencyError, HypothesisError, InputError, NotFoundError
@@ -339,19 +340,24 @@ class ExceptionalSet:
 
 
 def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
-    """Bad reduction plus excess vanishing of dj relative to j = 0 and 1728."""
+    """Bad reduction plus excess vanishing of dj relative to j = 0 and 1728.
+
+    On the short model j = c4^3/disc and j - 1728 = c6^2/disc, with
+    c4 = -48 a4 and c6 = -864 a6, so every zero of j or of j - 1728 lies in
+    ``curve_places``.  At a good place the minimal discriminant is a unit,
+    so ord_v(j) = 3(ord_v a4 + 4k_v) and ord_v(j - 1728) = 2(ord_v a6 + 6k_v);
+    only the numerator of dj adds places.
+    """
     if E.field.char != 0:
         raise InputError("the exceptional set is a characteristic-0 notion")
     if E.is_isotrivial():
         raise HypothesisError("isotrivial curve: dj vanishes identically")
     K = E.field
-    j = E.j_invariant()
-    jp = j.derive()
-    j1728 = j - K.from_int(1728)
+    Es = E.depress()[0]
+    jp = E.j_invariant().derive()
     places = curve_places(E)
     candidates = set(places)
-    for poly in (j.num, j1728.num, jp.num):
-        candidates.update(v for v, _ in places_of_poly(poly, K))
+    candidates.update(v for v, _ in places_of_poly(jp.num, K))
     bad = {v for v in places if not kodaira_type(E, v).is_good}
     entries = []
     for v in candidates:
@@ -359,10 +365,11 @@ def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
             entries.append((v, REASON_BAD))
             continue
         o_dj = ord_at(jp, v) + (-2 if v.is_infinity else 0)
-        if ord_at(j, v) > 0:
+        k = twist_exponent(Es, v)
+        if ord_at(Es.a4, v) + 4 * k > 0:
             if o_dj > 2:
                 entries.append((v, REASON_J0))
-        elif ord_at(j1728, v) > 0:
+        elif ord_at(Es.a6, v) + 6 * k > 0:
             if o_dj > 1:
                 entries.append((v, REASON_J1728))
         elif o_dj > 0:

@@ -325,6 +325,11 @@ def _division_values(a: Poly, b: Poly, x0: Poly, y0: Poly, n_top: int) -> list:
     return psi
 
 
+def _poly_order(q: Poly, v: Place) -> int:
+    """ord_v of a nonzero polynomial in t: its multiplicity, or -degree at infinity."""
+    return -q.degree if v.is_infinity else q.multiplicity_of(v.pi)
+
+
 class TangencyScan:
     """Result of scanning multiples prime to p for contact with the zero section."""
 
@@ -395,7 +400,7 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
             continue
         phi = x0.num * psi[n] * psi[n] - psi[n + 1] * psi[n - 1]
         if not phi.is_zero():
-            x_terms.append((FieldElement(K, phi), FieldElement(K, psi[n])))
+            x_terms.append((phi, psi[n]))
         if n >= 2:
             w = psi[n].gcd(psi[n].derivative())
             if not w.is_constant():
@@ -409,12 +414,13 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
         kv = twist_exponent(Escan, v)
         best = 0
         for phi, psi_n in x_terms:
-            need = 2 * ord_at(psi_n, v) - 2 * kv
+            # ord_v(phi_n) - den_order is ord_v x(nP) on the v-minimal model
+            den_order = 2 * _poly_order(psi_n, v) - 2 * kv
             # phi_n is a polynomial, so at a finite place ord_v(phi_n) >= 0
-            # and x(nP) has no pole there unless need > 0
-            if need <= 0 and not v.is_infinity:
+            # and x(nP) has no pole there unless den_order > 0
+            if den_order <= 0 and not v.is_infinity:
                 continue
-            ox = ord_at(phi, v) - need
+            ox = _poly_order(phi, v) - den_order
             if ox < 0:
                 if ox % 2:
                     raise ConsistencyError("odd pole order of x at %s" % v)

@@ -4,7 +4,10 @@ Coefficients are raw values: ``fractions.Fraction`` over the rationals,
 integers in ``[0, p)`` over a prime field.  A :class:`Poly` stores a dense,
 ascending coefficient tuple with no trailing zeros; the empty tuple is the
 zero polynomial.  All operations are pure and results are canonical, so
-structural equality is mathematical equality.
+structural equality is mathematical equality.  The structure of a dense
+polynomial (constructors, degree, equality, powers, ``monic``) lives in the
+private base ``_DensePoly``, which ``Poly`` and ``funcfield.XPoly`` share;
+it reads zero, one and inverses from the coefficient domain.
 
 All modular arithmetic runs on one set of list kernels over Z/mZ, with m = p
 or m = p^k: ``_add_mod``, ``_sub_mod``, ``_mul_mod`` (Kronecker substitution:
@@ -191,19 +194,16 @@ QQ = Rationals()
 # polynomials
 
 
-class Poly:
-    """Dense univariate polynomial over a constant field."""
+class _DensePoly:
+    """Dense univariate polynomial: the structure ``Poly`` and ``funcfield.XPoly`` share.
+
+    ``coeffs`` is an ascending tuple with no trailing zeros over a coefficient
+    domain ``field`` that supplies ``zero``, ``one`` and ``inv``; subclasses
+    supply ``__init__`` (the trimming), ``scale``, ``__mul__``, ``__divmod__``
+    and ``to_str``.
+    """
 
     __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        cs = list(coeffs)
-        while cs and cs[-1] == field.zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    # -- constructors
 
     @classmethod
     def zero(cls, field):
@@ -214,18 +214,8 @@ class Poly:
         return cls(field, (field.one,))
 
     @classmethod
-    def const(cls, field, c):
-        return cls(field, (c,))
-
-    @classmethod
-    def from_int_coeffs(cls, field, ints):
-        return cls(field, [field.from_int(c) for c in ints])
-
-    @classmethod
     def x(cls, field):
         return cls(field, (field.zero, field.one))
-
-    # -- basic structure
 
     @property
     def degree(self) -> int:
@@ -243,9 +233,7 @@ class Poly:
 
     @property
     def leading(self):
-        if not self.coeffs:
-            return self.field.zero
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self.coeffs else self.field.zero
 
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
@@ -254,13 +242,63 @@ class Poly:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Poly)
+            type(other) is type(self)
             and self.field == other.field
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = self.one(self.field)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def monic(self):
+        if self.is_zero() or self.leading == self.field.one:
+            return self
+        return self.scale(self.field.inv(self.leading))
+
+    def __str__(self):
+        return self.to_str("x")
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class Poly(_DensePoly):
+    """Dense univariate polynomial over a constant field."""
+
+    __slots__ = ()
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        cs = list(coeffs)
+        while cs and cs[-1] == field.zero:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def const(cls, field, c):
+        return cls(field, (c,))
+
+    @classmethod
+    def from_int_coeffs(cls, field, ints):
+        return cls(field, [field.from_int(c) for c in ints])
 
     # -- ring operations
 
@@ -311,18 +349,6 @@ class Poly:
             return self
         return Poly(self.field, (self.field.zero,) * k + self.coeffs)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __divmod__(self, other):
         f = self.field
         if other.is_zero():
@@ -348,12 +374,6 @@ class Poly:
         q = [Fraction(c * db, denom) for c in Q]
         r = [Fraction(c, denom) for c in R]
         return Poly(self.field, q), Poly(self.field, r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def divexact(self, other):
         q, r = divmod(self, other)
@@ -400,11 +420,6 @@ class Poly:
 
     # -- normal forms
 
-    def monic(self):
-        if self.is_zero() or self.leading == self.field.one:
-            return self
-        return self.scale(self.field.inv(self.leading))
-
     def gcd(self, other):
         """Monic gcd."""
         a, b = self, other
@@ -433,9 +448,6 @@ class Poly:
         inv = f.inv(r0.leading)
         return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
-    def __str__(self):
-        return self.to_str("x")
-
     def to_str(self, var: str) -> str:
         f = self.field
         if self.is_zero():
@@ -463,9 +475,6 @@ class Poly:
             else:
                 out += " + " + part
         return out
-
-    def __repr__(self):
-        return "Poly(%s)" % self.to_str("x")
 
 
 def _multiplicity_fp(a: list, b: list, p: int) -> int:

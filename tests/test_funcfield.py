@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import maninmaps
 
 from maninmaps import (
     CoverMap,
@@ -239,3 +244,20 @@ def test_parse_rejects_non_ascii_and_overlong_integers(Kt, text):
 def test_parse_rejects_negative_exponent(Kt):
     with pytest.raises(ParseError):
         parse("t^-2", Kt)
+
+
+def test_negative_power_of_xpoly_raises():
+    # run apart under a timeout: a power loop that never checks the sign of
+    # the exponent shifts -1 right forever and would hang the suite
+    code = (
+        "from maninmaps import FunctionField, QQ, XPoly\n"
+        "try:\n"
+        "    XPoly.x(FunctionField(QQ, 't')) ** -1\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(maninmaps.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "negative power of a polynomial\n"

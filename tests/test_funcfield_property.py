@@ -2,6 +2,9 @@
 
 - ``FieldElement`` obeys the field axioms, and its canonical form makes
   structural equality mathematical equality;
+- ``RatX`` obeys the field axioms of K(x), and its canonical form has a
+  denominator monic in x and forgets a common factor of numerator and
+  denominator;
 - ``parse`` reads back what ``str`` prints, for field elements and for
   x-polynomials;
 - ``XPoly.gcd`` (a primitive remainder sequence on cleared numerators in
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maninmaps.funcfield as ff
-from maninmaps import FunctionField, PrimeField, QQ, XPoly, parse
+from maninmaps import FunctionField, PrimeField, QQ, RatX, XPoly, parse
 
 import xpoly_oracle
 
@@ -40,6 +43,14 @@ def xpoly(K, max_degree, coefficient_degree=1):
     return coeffs.map(lambda cs: XPoly(K, cs))
 
 
+def nonzero_xpoly(K, max_degree):
+    return xpoly(K, max_degree).filter(lambda p: not p.is_zero())
+
+
+def ratx(K, max_degree=1):
+    return st.builds(lambda u, w: RatX(K, u, w), xpoly(K, max_degree), nonzero_xpoly(K, max_degree))
+
+
 field_name = st.sampled_from(sorted(FIELDS))
 
 
@@ -57,6 +68,36 @@ def test_field_axioms(data, name):
         assert a * (K.one / a) == K.one
         assert (b / a) * a == b
     assert hash(a * b) == hash(b * a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), field_name)
+def test_ratx_field_axioms(data, name):
+    K = FIELDS[name]
+    a, b, c = (data.draw(ratx(K)) for _ in range(3))
+    zero, one = RatX.const(K.zero), RatX.const(K.one)
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a + (-a) == zero
+    assert a - b == a + (-b)
+    if not a.is_zero():
+        assert a * (one / a) == one
+        assert (b / a) * a == b
+        assert a ** -2 == one / (a * a)
+    assert hash(a * b) == hash(b * a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), field_name)
+def test_ratx_canonical_form(data, name):
+    K = FIELDS[name]
+    u = data.draw(xpoly(K, 2))
+    w, g = data.draw(nonzero_xpoly(K, 2)), data.draw(nonzero_xpoly(K, 1))
+    r = RatX(K, u, w)
+    assert r.den.leading == K.one
+    assert r.num.gcd(r.den).degree == 0
+    assert RatX(K, u * g, w * g) == r
 
 
 @settings(max_examples=40, deadline=None)
