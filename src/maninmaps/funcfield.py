@@ -23,6 +23,8 @@ denominator, equality, + - * / **) of both ``FieldElement`` over k[t] and
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import ConsistencyError, InputError, ParseError
 from .polynomials import Poly, _DensePoly, factor, is_irreducible
 
@@ -63,11 +65,11 @@ class FunctionField:
     def poly(self, ints) -> Poly:
         return Poly.from_int_coeffs(self.constants, ints)
 
-    @property
+    @cached_property
     def zero(self) -> FieldElement:
         return FieldElement(self, Poly.zero(self.constants))
 
-    @property
+    @cached_property
     def one(self) -> FieldElement:
         return FieldElement(self, Poly.one(self.constants))
 

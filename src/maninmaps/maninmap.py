@@ -13,7 +13,10 @@ The exceptional set S collects bad reduction and the places where the
 classifying map is not an immersion, read off from dj against j = 0, 1728;
 off S the order of the section is the contact excess of the point with the
 leaves through it, and the degree of the bundle bounds the total.  Exactness
-is tested on numerators cleared into k[t][x], fraction-free.
+is tested on numerators cleared into k[t][x], fraction-free.  The operator of
+dx/y itself is read off the Gauss-Manin connection in closed form, with the
+witness solved by back-substitution (``find_pf``); the linear solve it
+replaced is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -142,13 +145,39 @@ def verify_pf(E: WeierstrassModel, L: PFOperator) -> bool:
 
 
 def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
-    """Solve for a verified operator by undetermined coefficients.
+    """The Picard-Fuchs operator of dx/y, read off the Gauss-Manin connection.
 
-    The witness is searched in the form F = y N(x) / f(x)^2 with deg N <= 4,
-    which turns exactness into a 7-equation K-linear system in
-    (A, B, C, N); the kernel is one-dimensional for a non-isotrivial monic
-    cubic.  The result is normalized to polynomial primitive (A, B, C); a
-    normalized degree above pole_bound raises NotFoundError.
+    Work on the depressed model y^2 = x^3 + a4 x + a6 with ' = d/dt, and let
+    Delta = 4 a4^3 + 27 a6^2, delta = 3 a6 a4' - 2 a4 a6', omega = dx/y and
+    eta = x dx/y.  Differentiating under the integral gives
+    d_t omega = -f_t dx/(2 y^3) with f_t = a4' x + a6'.  Reducing it modulo
+    exact forms with 1 = R f + S f_x, d(g/y) = g_x dx/y - g f_x dx/(2 y^3)
+    and d(x^m y) = (m x^(m-1) f + x^m f_x/2) dx/y gives the Gauss-Manin
+    matrix m11 = -Delta'/(12 Delta), m12 = 3 delta/(2 Delta),
+    m21 = a4 delta/(2 Delta), m22 = -m11.  Eliminating eta gives
+    omega'' - (tr M + m12'/m12) omega' + (det M - m11' + m11 m12'/m12) omega
+    = 0, that is
+
+        B/A = Delta'/Delta - delta'/delta,
+        C/A = Delta''/(12 Delta) - Delta' delta'/(12 Delta delta)
+              - (Delta'/Delta)^2/144 - 3 a4 delta^2/(4 Delta^2).
+
+    The shift x -> x + s(t) leaves the periods alone, so this is the operator
+    of the cubic f of E itself; only the witness is solved on f.  Nothing
+    divides by zero: j' = 6912 * 27 a4^2 a6 delta/Delta^2, so delta != 0 off
+    the isotrivial case, which is refused; and C != 0, because L(1) = C and
+    the monodromy of a non-isotrivial family fixes no period.
+
+    The scaling is the one an undetermined-coefficient solve gives when the
+    x^4 coefficient of N is 1, which the x^6 equation below turns into
+    C = -1/2: (A, B, C) = (-1/(2c), -b/(2c), -1/2) for b = B/A and c = C/A,
+    cleared to polynomials, divided by the monic content, and signed so that
+    A leads positively.  A degree above pole_bound raises NotFoundError.
+
+    The witness F = y N(x)/f(x)^2 with deg N <= 4 solves
+    N' f - (3/2) N f' = A(3 f_t^2/4 - f_tt f/2) - B f_t f/2 + C f^2 by
+    back-substitution from x^6 down to x^2; the image of x^i leads with
+    (i - 9/2) x^(i+2).  ``verify_pf`` checks the result.
     """
     if pole_bound < 0:
         raise InputError("pole_bound must be nonnegative, got %d" % pole_bound)
@@ -157,95 +186,50 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
     if E.is_isotrivial():
         raise NotFoundError("isotrivial curve: the derivative terms degenerate")
     K = E.field
-    f = E.cubic()
-    df = f.map_coeffs(lambda c: c.derive())
-    ddf = f.map_coeffs(lambda c: c.derive().derive())
-    fprime = f.derivative_x()
-    half = K.from_fraction(1, 2)
-    # columns: A, B, C, n0..n4; rows: x^0..x^6 of
-    #   A(-ddf f/2 + 3 df^2/4) + B(-df f/2) + C f^2 - (N' f - 3/2 N f') = 0
-    colA = (-(ddf * f)).scale(half) + (df * df).scale(K.from_fraction(3, 4))
-    colB = (-(df * f)).scale(half)
-    colC = f * f
-    cols = [colA, colB, colC]
-    x = XPoly.x(K)
-    for i in range(5):
-        xi = x ** i
-        dxi = xi.derivative_x()
-        term = dxi * f - (xi * fprime).scale(K.from_fraction(3, 2))
-        cols.append(-term)
-    rows = 7
-    matrix = [[cols[j][i] for j in range(8)] for i in range(rows)]
-    kernel = _kernel(matrix, K)
-    solution = None
-    for vec in kernel:
-        if not vec[0].is_zero():
-            solution = vec
-            break
-    if solution is None:
-        raise NotFoundError("no second-order exact operator in the search space")
-    A, B, C = solution[0], solution[1], solution[2]
-    # clear denominators and make (A, B, C) primitive with A's leading term positive
-    denlcm = A.den
+    Es = E.depress()[0]
+    a4, a6 = Es.a4, Es.a6
+    disc = a4 ** 3 * 4 + a6 ** 2 * 27
+    delta = a6 * a4.derive() * 3 - a4 * a6.derive() * 2
+    ld, le = disc.derive() / disc, delta.derive() / delta
+    c = (
+        (disc.derive().derive() / disc - ld * le) / 12
+        - ld * ld / 144
+        - a4 * (delta / disc) ** 2 * 3 / 4
+    )
+    A = -1 / (c * 2)
+    B, C = (ld - le) * A, K.from_fraction(-1, 2)
+    lcm = A.den
     for g in (B.den, C.den):
-        denlcm = denlcm * (g // denlcm.gcd(g))
-    scale = FieldElement(K, denlcm)
-    A, B, C = A * scale, B * scale, C * scale
-    content = A.num.gcd(B.num).gcd(C.num)
-    if content.degree > 0:
-        inv = FieldElement(K, content)
-        A, B, C = A / inv, B / inv, C / inv
-        scale = scale / inv
-    if K.char == 0 and A.num.leading < 0:
-        m = K.from_int(-1)
-        A, B, C, scale = A * m, B * m, C * m, scale * m
+        lcm = lcm * (g // lcm.gcd(g))
+    A, B, C = (e * FieldElement(K, lcm) for e in (A, B, C))
+    unit = FieldElement(K, A.num.gcd(B.num).gcd(C.num))
+    if A.num.leading < 0:
+        unit = -unit
+    A, B, C = A / unit, B / unit, C / unit
     if max(A.num.degree, B.num.degree, C.num.degree) > pole_bound:
         raise NotFoundError(
             "operator degrees exceed pole bound %d; raise it" % pole_bound
         )
-    ncoeffs = [v * scale for v in solution[3:]]
-    N = XPoly(K, ncoeffs)
-    F = CurveFunction(E, RatX(K, XPoly.zero(K)), RatX(K, N, f * f))
+    f = E.cubic()
+    ft = f.map_coeffs(FieldElement.derive)
+    R = (
+        (ft * ft).scale(A * 3 / 4)
+        - (ft.map_coeffs(FieldElement.derive) * f).scale(A / 2)
+        - (ft * f).scale(B / 2)
+        + (f * f).scale(C)
+    )
+    r = [R[k] for k in range(7)]
+    n = [K.zero] * 5
+    for i in range(4, -1, -1):
+        n[i] = r[i + 2] * 2 / (2 * i - 9)
+        for k in range(4):  # x^i maps to the sum of (i - 3k/2) f_k x^(i+k-1)
+            if i + k:
+                r[i + k - 1] = r[i + k - 1] - n[i] * f[k] * (2 * i - 3 * k) / 2
+    F = CurveFunction(E, RatX(K, XPoly.zero(K)), RatX(K, XPoly(K, n), f * f))
     L = PFOperator(A, B, C, F)
     if not verify_pf(E, L):
         raise ConsistencyError("solved operator failed verification on %s" % E)
     return L
-
-
-def _kernel(matrix, K):
-    """Kernel basis of a small matrix over the function field K."""
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = K.one / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [K.zero] * ncols
-        vec[fc] = K.one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(vec)
-    return basis
 
 
 def pullback_pf(L: PFOperator, phi: CoverMap) -> PFOperator:
