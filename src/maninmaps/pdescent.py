@@ -72,6 +72,10 @@ class HasseData:
     def __str__(self):
         return "A = %s, M = %s, L = %s" % (self.A, self.M, self.L)
 
+    def section(self) -> GradedSection:
+        """The Hasse invariant as a weight p-1 section."""
+        return GradedSection(self.A, self.model.field.char - 1, 0, self.model)
+
 
 def hasse_data(E: WeierstrassModel) -> HasseData:
     """Split f^((p-1)/2) by x-degree; the defining identity is re-checked."""
@@ -93,8 +97,7 @@ def hasse_data(E: WeierstrassModel) -> HasseData:
 
 def hasse_invariant_section(E: WeierstrassModel) -> GradedSection:
     """The Hasse invariant as a weight p-1 section."""
-    data = hasse_data(E)
-    return GradedSection(data.A, E.field.char - 1, 0, data.model)
+    return hasse_data(E).section()
 
 
 def kodaira_spencer_section(E: WeierstrassModel) -> GradedSection:
@@ -126,14 +129,18 @@ def p_descent_value(E: WeierstrassModel, P: CurvePoint) -> FieldElement:
     value is y M(x) + z^p - A z for the explicit argument z built from
     dx/2y, dDelta/Delta and the twisted differential.
     """
-    p = _require_charp(E)
+    _require_charp(E)
     E, P = _short_with_point(E, P)
-    if P.is_zero:
-        return E.field.zero
-    if P.y.is_zero():
+    if P.is_zero or P.y.is_zero():
         return E.field.zero  # 2-torsion lies in pE(K) since p is odd
-    lam = kodaira_spencer_section(E).value
-    data = hasse_data(E)
+    return _p_descent_value(E, P, kodaira_spencer_section(E).value, hasse_data(E))
+
+
+def _p_descent_value(E: WeierstrassModel, P: CurvePoint, lam: FieldElement,
+                     data: HasseData) -> FieldElement:
+    """p_descent_value on a short model at P with y(P) != 0, given the
+    twisted differential's value and the Hasse split."""
+    p = E.field.char
     x, y = P.x, P.y
     disc = E.discriminant()
     dlog_disc = disc.derive() / disc
@@ -265,13 +272,19 @@ def descent_divisor(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) -> Desc
     supported on I_m places with p | m where the order of P in the
     component group is divisible by p.
     """
-    p = _require_charp(E)
+    _require_charp(E)
     E, P = _short_with_point(E, P)
     bad = bad_places(E)
     if any(not kt.is_semistable for _, kt in bad):
         raise HypothesisError("descent divisor needs everywhere semistable reduction")
-    lam = kodaira_spencer_section(E)
-    lam_div = divisor(lam)
+    return _descent_divisor(E, P, n_max, bad, divisor(kodaira_spencer_section(E)))
+
+
+def _descent_divisor(E: WeierstrassModel, P: CurvePoint, n_max: int, bad,
+                     lam_div: DivisorReport) -> DescentDivisor:
+    """descent_divisor on a short model, given its bad places and the
+    divisor of the twisted differential."""
+    p = E.field.char
     zeros = lam_div.positive_part()
     poles = lam_div.negative_part()
     p_entries = []
@@ -345,12 +358,18 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
                   watch_places=()) -> TangencyScan:
     """Local intersections (nP . O)_v maximized over n <= n_max prime to p.
 
-    Multiples are never formed explicitly: division-polynomial values over a
-    denominator-cleared model give every valuation.  Places outside the
-    watched and model-special set are picked up from repeated factors of the
-    division values, so a contact of order >= 2 anywhere is found; order-1
-    contacts are only reported at watched/special places, which is all the
-    bound bookkeeping needs.
+    Division-polynomial values over a denominator-cleared model give every
+    valuation, so multiples are never formed.  Contacts of order >= 2 at
+    places outside the watched and model-special set come from repeated
+    factors of psi_n; order-1 contacts are reported only at watched/special
+    places, which is all the bound bookkeeping needs.
+
+    The maximum is the first contact at each place.  On the v-minimal model
+    {n : nP in E_1(K_v)} = r_v Z (r_v the rank of apparition): E_1(K_v) is
+    the group E^(m_v) of the formal group (Silverman, AEC, Prop. VII.2.2),
+    and [k] for k prime to p is an automorphism of it (AEC, Prop. IV.2.3).
+    So for scanned n, (nP . O)_v = v(T(nP)) with T = -x/y is 0 unless
+    r_v | n, and then it equals (r_v P . O)_v.
     """
     p = _require_charp(E)
     _require_n_max(n_max)
@@ -389,44 +408,38 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     psi = _division_values(a4.num, a6.num, x0.num, y0.num, n_max + 1)
     torsion_order = None
     iotas = {}
-    # x(nP) = phi_n / psi_n^2 with phi_n = x0 psi_n^2 - psi_(n+1) psi_(n-1);
-    # phi_n does not depend on the place, so it is built once per n
-    x_terms = []
+    open_places = {v: twist_exponent(Escan, v) for v in special}
     for n in range(1, n_max + 1):
         if n % p == 0:
             continue
-        if psi[n].is_zero():
+        psi_n = psi[n]
+        if psi_n.is_zero():
             torsion_order = n if torsion_order is None else torsion_order
             continue
-        phi = x0.num * psi[n] * psi[n] - psi[n + 1] * psi[n - 1]
-        if not phi.is_zero():
-            x_terms.append((phi, psi[n]))
-        if n >= 2:
-            w = psi[n].gcd(psi[n].derivative())
-            if not w.is_constant():
-                for q, _ in places_of_poly(w, K):
-                    if q in special:
-                        continue
-                    iota = psi[n].multiplicity_of(q.pi)
-                    if iota > iotas.get(q, 0):
-                        iotas[q] = iota
-    for v in special:
-        kv = twist_exponent(Escan, v)
-        best = 0
-        for phi, psi_n in x_terms:
+        phi = None
+        for v, kv in list(open_places.items()):
             # ord_v(phi_n) - den_order is ord_v x(nP) on the v-minimal model
             den_order = 2 * _poly_order(psi_n, v) - 2 * kv
             # phi_n is a polynomial, so at a finite place ord_v(phi_n) >= 0
             # and x(nP) has no pole there unless den_order > 0
             if den_order <= 0 and not v.is_infinity:
                 continue
+            if phi is None:  # x(nP) = phi_n / psi_n^2
+                phi = x0.num * psi_n * psi_n - psi[n + 1] * psi[n - 1]
+            if phi.is_zero():
+                break
             ox = _poly_order(phi, v) - den_order
             if ox < 0:
                 if ox % 2:
                     raise ConsistencyError("odd pole order of x at %s" % v)
-                best = max(best, -ox // 2)
-        if best:
-            iotas[v] = max(best, iotas.get(v, 0))
+                iotas[v] = -ox // 2
+                del open_places[v]
+        if n >= 2:
+            w = psi_n.gcd(psi_n.derivative())
+            if not w.is_constant():
+                for q, _ in places_of_poly(w, K):
+                    if q not in special and q not in iotas:  # its first value stands
+                        iotas[q] = psi_n.multiplicity_of(q.pi)
     return TangencyScan(iotas, n_max, torsion_order)
 
 
@@ -480,17 +493,21 @@ def descent_bound_report(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) ->
             )
     lam = kodaira_spencer_section(E)
     lam_div = divisor(lam)
-    dd = descent_divisor(E, P, n_max)
+    dd = _descent_divisor(E, P, n_max, bad, lam_div)
     D = dd.total
     d = deg_omega(E)
     delta = sum(v.degree for v, _ in bad)
     bound = p * (2 * 0 - 2 - d) + (p - 1) * delta
 
-    mu = p_descent_value(E, P)
+    data = hasse_data(E)
+    if P.is_zero or P.y.is_zero():
+        mu = E.field.zero
+    else:
+        mu = _p_descent_value(E, P, lam.value, data)
     checks = []
     mu_zero = mu.is_zero()
     nu_div = None
-    a_sec = hasse_invariant_section(E)
+    a_sec = data.section()
     if not mu_zero:
         nu = GradedSection(mu * lam.value, p - 2, 1, E)
         nu_div = divisor(nu)

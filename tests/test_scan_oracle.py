@@ -2,9 +2,11 @@
 
 ``reference_tangency_scan`` is the scan as it was first written: for every
 special place it rebuilds x(nP) = phi_n / psi_n^2 for every multiple n and
-takes valuations of fresh field elements.  The library builds phi_n once per
-n and, at a finite place, takes ord_v(phi_n) only where ord_v(psi_n) leaves
-room for a pole; both must report the same contacts and torsion order.
+takes valuations of fresh field elements, and it takes the maximum over all
+n.  The library stops at each place's first contact, builds phi_n only while
+an open place needs it, and at a finite place takes ord_v(phi_n) only where
+ord_v(psi_n) leaves room for a pole; both must report the same contacts and
+torsion order.
 """
 
 from pathlib import Path
@@ -56,8 +58,11 @@ def cleared_model(E, P):
     return WeierstrassModel.short(K, a4, a6), x0, y0, need
 
 
-def reference_tangency_scan(E, P, n_max, watch_places=()):
-    """(iotas, torsion_order) by the per-place loop over all multiples."""
+def reference_contacts(E, P, n_max, watch_places=()):
+    """(contacts, iotas, torsion_order) by the per-place loop over all
+    multiples: contacts[v][n] = (nP . O)_v at every special place v and
+    scanned n with x(nP) defined and nonzero; iotas holds the contacts of
+    order >= 2 found elsewhere, each maximized over n."""
     p = E.field.char
     E, P = _short_with_point(E, P)
     K = E.field
@@ -86,9 +91,10 @@ def reference_tangency_scan(E, P, n_max, watch_places=()):
                     iota = psi[n].multiplicity_of(q.pi)
                     if iota > iotas.get(q, 0):
                         iotas[q] = iota
+    contacts = {}
     for v in special:
         kv = twist_exponent(Escan, v)
-        best = 0
+        by_n = contacts[v] = {}
         for n in ns:
             if psi[n].is_zero():
                 continue
@@ -100,10 +106,18 @@ def reference_tangency_scan(E, P, n_max, watch_places=()):
                 - 2 * ord_at(FieldElement(K, psi[n]), v)
                 + 2 * kv
             )
-            if ox < 0:
-                if ox % 2:
-                    raise ConsistencyError("odd pole order of x at %s" % v)
-                best = max(best, -ox // 2)
+            if ox < 0 and ox % 2:
+                raise ConsistencyError("odd pole order of x at %s" % v)
+            by_n[n] = max(0, -ox // 2)
+    return contacts, iotas, torsion_order
+
+
+def reference_tangency_scan(E, P, n_max, watch_places=()):
+    """(iotas, torsion_order): the contacts of reference_contacts, each
+    maximized over every scanned n."""
+    contacts, iotas, torsion_order = reference_contacts(E, P, n_max, watch_places)
+    for v, by_n in contacts.items():
+        best = max(by_n.values(), default=0)
         if best:
             iotas[v] = max(best, iotas.get(v, 0))
     return iotas, torsion_order
@@ -188,6 +202,22 @@ def test_scan_matches_oracle_on_a_short_curve_through_a_point():
     E, P = _short_through_point(7, [2, 1], [1, 3, 0, 1], [1, 1])
     scan = _scan_against_oracle(E, P, 30)
     assert sorted(scan.iotas.values()).count(2) == 3
+
+
+@pytest.mark.parametrize(
+    "p, g, h, A",
+    [
+        # short/F5/g=3u+4/h=4u^3+4u/A=3: I_2 place u + 2 where P meets the
+        # non-identity component, so ord(psi_n) grows like n^2/4
+        pytest.param(5, [4, 3], [0, 4, 0, 4], [3], id="F5/g=3u+4/h=4u^3+4u/A=3"),
+        pytest.param(7, [0, 4], [3, 2, 4, 4], [6, 2], id="F7/g=4u/h=4u^3+4u^2+2u+3/A=2u+6"),
+        pytest.param(5, [1, 4], [0, 3, 2, 4], [2], id="F5/g=4u+1/h=4u^3+2u^2+3u/A=2"),
+    ],
+)
+def test_scan_matches_oracle_on_the_slowest_descent_jobs(p, g, h, A):
+    # the slowest fp-descent jobs of benchmark seeds 2 and 3
+    E, P = _short_through_point(p, g, h, A)
+    assert _scan_against_oracle(E, P, 30).iotas
 
 
 def test_scan_oracle_sees_torsion():
