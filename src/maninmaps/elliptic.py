@@ -27,6 +27,7 @@ from .funcfield import (
     parse_ast,
     support_places,
 )
+from .polynomials import _power
 
 
 class WeierstrassModel:
@@ -474,17 +475,10 @@ class CurveFunction:
         return CurveFunction(self.model, prod.rx * inv_norm, prod.ry * inv_norm)
 
     def __pow__(self, n: int):
+        one = CurveFunction.const(self.model, self.model.field.one)
         if n < 0:
-            one = CurveFunction.const(self.model, self.model.field.one)
             return (one / self) ** (-n)
-        out = CurveFunction.const(self.model, self.model.field.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n) if n else one
 
     def evaluate(self, P: CurvePoint) -> FieldElement:
         if P.is_zero:

@@ -14,11 +14,14 @@ and the expression parser used by the CLI.  ``XPoly.cleared`` writes an
 x-polynomial as numerators in k[t][x] over one denominator in k[t]; the gcd
 in x is a primitive remainder sequence there, with no field element built.
 
-Each tower has one body.  ``XPoly`` takes its structure from
-``polynomials._DensePoly``, as ``Poly`` does, and the private base
-``_Quotient`` holds the canonical-fraction arithmetic (gcd and monic
-denominator, equality, + - * / **) of both ``FieldElement`` over k[t] and
-``RatX`` over K[x].
+Each tower has one body.  ``XPoly`` takes its structure and its ring
+operations (+, -, negation, ``scale``, ``derivative`` in x, powers) from
+``polynomials._DensePoly``, as ``Poly`` does, and keeps only its product,
+division and gcd; the private base ``_Quotient`` holds the canonical-fraction
+arithmetic (gcd and monic denominator, equality, + - * / **) of both
+``FieldElement`` over k[t] and ``RatX`` over K[x].  The constant fields
+supply ``from_int``, ``reduce``, ``inv`` and ``div``; ``FieldElement``
+reaches them only through ``Poly`` and ``div`` in ``evaluate``.
 """
 
 from __future__ import annotations
@@ -461,17 +464,6 @@ class XPoly(_DensePoly):
     def const(cls, c: FieldElement):
         return cls(c.field, (c,))
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPoly(self.field, [self[i] + other[i] for i in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPoly(self.field, [self[i] - other[i] for i in range(n)])
-
-    def __neg__(self):
-        return XPoly(self.field, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return XPoly.zero(self.field)
@@ -482,9 +474,6 @@ class XPoly(_DensePoly):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return XPoly(self.field, out)
-
-    def scale(self, c: FieldElement):
-        return XPoly(self.field, [c * a for a in self.coeffs])
 
     def __divmod__(self, other):
         if other.is_zero():
@@ -519,12 +508,6 @@ class XPoly(_DensePoly):
         while not b.is_zero():
             a, b = b, _primitive(_prem(a, b))
         return XPoly(self.field, [FieldElement(self.field, c, a.leading) for c in a.coeffs])
-
-    def derivative_x(self):
-        return XPoly(
-            self.field,
-            [self.field.from_int(i) * c for i, c in enumerate(self.coeffs)][1:],
-        )
 
     def map_coeffs(self, fn, field=None):
         """Apply fn to each coefficient (e.g. d/dt, or a cover pullback)."""

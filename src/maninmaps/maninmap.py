@@ -110,7 +110,7 @@ def _exactness_holds(E: WeierstrassModel, L: PFOperator) -> bool:
     constant in x iff the Wronskian P'Q - P Q' of its cleared parts is 0.
     """
     P, Q = L.F.rx.num.cleared()[0], L.F.rx.den.cleared()[0]
-    if not (P.derivative_x() * Q - P * Q.derivative_x()).is_zero():
+    if not (P.derivative() * Q - P * Q.derivative()).is_zero():
         return False
     F, delta = E.cubic().cleared()
     two, three, four = (F.field.from_int(n) for n in (2, 3, 4))
@@ -124,7 +124,7 @@ def _exactness_holds(E: WeierstrassModel, L: PFOperator) -> bool:
         + (F * F).scale(four * c * alpha * beta * delta * delta)
     )
     (N, nu), (D, eta) = L.F.ry.num.cleared(), L.F.ry.den.cleared()
-    RN = (N.derivative_x() * D - N * D.derivative_x()) * F.scale(two) + N * D * F.derivative_x()
+    RN = (N.derivative() * D - N * D.derivative()) * F.scale(two) + N * D * F.derivative()
     return (NL * D * D).scale(two * nu) == (RN * F * F).scale(
         four * alpha * beta * gamma * delta * eta
     )

@@ -215,12 +215,14 @@ def reduction_table_report(E: WeierstrassModel) -> list:
 def in_identity_component(E: WeierstrassModel, P: CurvePoint, v: Place) -> bool:
     """Whether P reduces to a smooth point of the v-minimal closed fiber.
 
-    Valid at semistable places.  On the v-minimal model x, y, a4, a6 pick up
-    pi^(2k), pi^(3k), pi^(4k), pi^(6k), so every test below is an order
-    ord_v + weight k.  A pole of x counts as smooth (the point reduces to the
-    origin); otherwise the unique singular point of an I_m fiber is the node
-    (-3 b / 2 a, 0) of the reduced cubic x^3 + a x + b, and since 2 and 3 are
-    units, x reduces to it exactly when 2 a x + 3 b vanishes there.
+    Valid at semistable places, read off ``kodaira_type``: an I0 fiber is
+    smooth, so every point is on it.  On the v-minimal model x, y, a4, a6
+    pick up pi^(2k), pi^(3k), pi^(4k), pi^(6k), so every test below is an
+    order ord_v + weight k.  A pole of x counts as smooth (the point reduces
+    to the origin); otherwise the unique singular point of an I_m fiber,
+    m >= 1, is the node (-3 b / 2 a, 0) of the reduced cubic x^3 + a x + b,
+    and since 2 and 3 are units, x reduces to it exactly when 2 a x + 3 b
+    vanishes there.
     """
     if P.is_zero:
         return True
@@ -228,8 +230,11 @@ def in_identity_component(E: WeierstrassModel, P: CurvePoint, v: Place) -> bool:
     k = twist_exponent(E, v)
     if ord_at(P.x, v) + 2 * k < 0:
         return True
-    if ord_at(E.a4, v) + 4 * k > 0:
+    ktype = kodaira_type(E, v)
+    if ktype.is_additive:
         raise HypothesisError("additive reduction at %s; component test refused" % v)
+    if ktype.is_good:
+        return True
     on_node = (
         ord_at(E.a4 * P.x * 2 + E.a6 * 3, v) + 6 * k > 0
         and ord_at(P.y, v) + 3 * k > 0

@@ -4,10 +4,14 @@ Coefficients are raw values: ``fractions.Fraction`` over the rationals,
 integers in ``[0, p)`` over a prime field.  A :class:`Poly` stores a dense,
 ascending coefficient tuple with no trailing zeros; the empty tuple is the
 zero polynomial.  All operations are pure and results are canonical, so
-structural equality is mathematical equality.  The structure of a dense
-polynomial (constructors, degree, equality, powers, ``monic``) lives in the
-private base ``_DensePoly``, which ``Poly`` and ``funcfield.XPoly`` share;
-it reads zero, one and inverses from the coefficient domain.
+structural equality is mathematical equality.  The constant fields supply
+``from_int``, ``reduce`` (raw results of Python arithmetic back to raw
+elements: the identity over Q, ``% p`` over F_p), ``inv`` and ``div``.  The
+body of a dense polynomial (constructors, degree, equality, ``monic``, and
+the ring operations +, -, negation, ``scale``, ``derivative`` and powers)
+lives in the private base ``_DensePoly``, which ``Poly`` and
+``funcfield.XPoly`` share; it computes with Python operators and passes
+each result once through ``reduce`` for a ``Poly``.
 
 All modular arithmetic runs on one set of list kernels over Z/mZ, with m = p
 or m = p^k: ``_add_mod``, ``_sub_mod``, ``_mul_mod`` (Kronecker substitution:
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import sys
 from array import array
@@ -80,24 +85,15 @@ def is_prime(n: int) -> bool:
 
 
 class Rationals:
-    """The field Q; raw elements are Fraction."""
+    """The field Q; raw elements are Fraction, closed under Python arithmetic."""
 
     char = 0
 
     def from_int(self, n):
         return Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def reduce(self, cs):
+        return cs
 
     def inv(self, a):
         if a == 0:
@@ -117,9 +113,6 @@ class Rationals:
     def one(self):
         return Fraction(1)
 
-    def to_str(self, a):
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -131,7 +124,11 @@ class Rationals:
 
 
 class PrimeField:
-    """The field F_p for a prime p > 3; raw elements are ints in [0, p)."""
+    """The field F_p for a prime p > 3; raw elements are ints in [0, p).
+
+    Python arithmetic on raw elements gives ints, and ``reduce`` maps a list
+    of them back into [0, p).
+    """
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -144,19 +141,9 @@ class PrimeField:
     def from_int(self, n):
         return n % self.p
 
-    def add(self, a, b):
-        c = a + b
-        return c - self.p if c >= self.p else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c + self.p if c < 0 else c
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return self.p - a if a else 0
+    def reduce(self, cs):
+        p = self.p
+        return [c % p for c in cs]
 
     def inv(self, a):
         if a == 0:
@@ -173,9 +160,6 @@ class PrimeField:
     @property
     def one(self):
         return 1
-
-    def to_str(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -194,13 +178,27 @@ QQ = Rationals()
 # polynomials
 
 
+def _power(base, n: int, mul=operator.mul):
+    """base**n for n >= 1 by square-and-multiply, with no square past the top bit."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else mul(out, base)
+        n >>= 1
+        if not n:
+            return out
+        base = mul(base, base)
+
+
 class _DensePoly:
-    """Dense univariate polynomial: the structure ``Poly`` and ``funcfield.XPoly`` share.
+    """Dense univariate polynomial: the body ``Poly`` and ``funcfield.XPoly`` share.
 
     ``coeffs`` is an ascending tuple with no trailing zeros over a coefficient
-    domain ``field`` that supplies ``zero``, ``one`` and ``inv``; subclasses
-    supply ``__init__`` (the trimming), ``scale``, ``__mul__``, ``__divmod__``
-    and ``to_str``.
+    domain ``field`` that supplies ``zero``, ``one``, ``from_int`` and
+    ``inv``.  The ring operations here compute with Python operators on the
+    coefficients and build the result through ``_new``, which a subclass
+    overrides to reduce raw coefficients; subclasses supply ``__init__``
+    (the trimming), ``__mul__``, ``__divmod__`` and ``to_str``.
     """
 
     __slots__ = ("field", "coeffs")
@@ -250,17 +248,43 @@ class _DensePoly:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
+    def _new(self, cs):
+        """The polynomial over the same domain with coefficients cs."""
+        return type(self)(self.field, cs)
+
+    # -- ring operations
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self._new(out)
+
+    def __sub__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [self.field.zero] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs])
+
+    def scale(self, c):
+        return self._new([c * a for a in self.coeffs])
+
+    def derivative(self):
+        """d/d(own variable)."""
+        from_int = self.field.from_int
+        return self._new([from_int(i) * c for i, c in enumerate(self.coeffs)][1:])
+
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n) if n else self.one(self.field)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -300,29 +324,8 @@ class Poly(_DensePoly):
     def from_int_coeffs(cls, field, ints):
         return cls(field, [field.from_int(c) for c in ints])
 
-    # -- ring operations
-
-    def __add__(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
-
-    def __sub__(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [f.zero] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = f.sub(out[i], c)
-        return Poly(f, out)
-
-    def __neg__(self):
-        f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+    def _new(self, cs):
+        return Poly(self.field, self.field.reduce(cs))
 
     def __mul__(self, other):
         f = self.field
@@ -330,18 +333,12 @@ class Poly(_DensePoly):
         if not a or not b:
             return Poly.zero(f)
         if len(a) == 1:
-            c = a[0]
-            return Poly(f, [f.mul(c, x) for x in b])
+            return other.scale(a[0])
         if len(b) == 1:
-            c = b[0]
-            return Poly(f, [f.mul(c, x) for x in a])
+            return self.scale(b[0])
         if f.char:
             return Poly(f, _mul_mod(a, b, f.p))
         return Poly(f, _mul_qq(a, b))
-
-    def scale(self, c):
-        f = self.field
-        return Poly(f, [f.mul(c, x) for x in self.coeffs])
 
     def shift(self, k: int):
         """Multiply by x**k."""
@@ -401,21 +398,12 @@ class Poly(_DensePoly):
             a = q
             k += 1
 
-    # -- calculus / evaluation
-
-    def derivative(self):
-        f = self.field
-        return Poly(
-            f,
-            [f.mul(f.from_int(i), c) for i, c in enumerate(self.coeffs)][1:],
-        )
-
     def evaluate(self, point):
         """Evaluate at a raw constant via Horner."""
         f = self.field
         acc = f.zero
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, point), c)
+            acc = f.from_int(acc * point + c)
         return acc
 
     # -- normal forms
@@ -458,7 +446,7 @@ class Poly(_DensePoly):
             if c == f.zero:
                 continue
             if i == 0:
-                mon = f.to_str(c)
+                mon = str(c)
             else:
                 xi = var if i == 1 else "%s^%d" % (var, i)
                 if c == f.one:
@@ -466,7 +454,7 @@ class Poly(_DensePoly):
                 elif f.char == 0 and c == -f.one:
                     mon = "-" + xi
                 else:
-                    mon = "%s*%s" % (f.to_str(c), xi)
+                    mon = "%s*%s" % (c, xi)
             parts.append(mon)
         out = parts[0]
         for part in parts[1:]:
@@ -751,36 +739,20 @@ def squarefree_decomposition(f: Poly) -> list:
     f = f.monic()
     if f.is_one():
         return []
-    if f.field.char == 0:
-        return _sqfree_char0(f)
-    return _sqfree_charp(f)
+    return _sqfree(f)
 
 
-def _sqfree_char0(f: Poly) -> list:
-    # Yun's algorithm
-    out = []
-    df = f.derivative()
-    a = f.gcd(df)
-    b = f // a
-    c = df // a
-    i = 1
-    while not b.is_constant():
-        d = c - b.derivative()
-        g = b.gcd(d)
-        if not g.is_constant():
-            out.append((g, i))
-        b = b // g
-        c = d // g
-        i += 1
-    return out
+def _sqfree(f: Poly) -> list:
+    """Musser's loop; the parts whose multiplicity p divides come from p-th roots.
 
-
-def _sqfree_charp(f: Poly) -> list:
+    In characteristic 0 the derivative of a non-constant f is nonzero and the
+    loop leaves a constant c, so neither p-th-root branch runs.
+    """
     p = f.field.char
     out = {}
     df = f.derivative()
     if df.is_zero():
-        for g, m in _sqfree_charp(_pth_root(f)):
+        for g, m in _sqfree(_pth_root(f)):
             out[m * p] = g
         return [(g, m) for m, g in sorted(out.items())]
     c = f.gcd(df)
@@ -795,7 +767,7 @@ def _sqfree_charp(f: Poly) -> list:
         c = c // y
         i += 1
     if not c.is_constant():
-        for g, m in _sqfree_charp(_pth_root(c)):
+        for g, m in _sqfree(_pth_root(c)):
             mp = m * p
             out[mp] = out[mp] * g if mp in out else g
     return [(g, m) for m, g in sorted(out.items())]
@@ -811,14 +783,9 @@ def _pth_root(f: Poly) -> Poly:
 
 
 def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    out = Poly.one(base.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            out = out * base % mod
-        base = base * base % mod
-        e >>= 1
-    return out
+    if not e:
+        return Poly.one(base.field)
+    return _power(base % mod, e, lambda a, b: a * b % mod)
 
 
 def _ddf(f: Poly) -> list:

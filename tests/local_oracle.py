@@ -51,12 +51,12 @@ class Residue:
 
     def sub(self, a, b):
         if self.place.is_infinity:
-            return self.constants.sub(a, b)
+            return self.constants.from_int(a - b)
         return a - b
 
     def mul(self, a, b):
         if self.place.is_infinity:
-            return self.constants.mul(a, b)
+            return self.constants.from_int(a * b)
         return a * b % self.place.pi
 
     def inv(self, a):
@@ -106,7 +106,7 @@ def kodaira_type(E: WeierstrassModel, v) -> KodairaType:
 def in_identity_component(E: WeierstrassModel, P, v) -> bool:
     """Whether P reduces to a smooth point of the v-minimal closed fiber,
     by moving P to the minimal model and comparing residues with the node
-    (-3 b / 2 a, 0)."""
+    (-3 b / 2 a, 0).  A good fiber (a unit discriminant) has no node."""
     if P.is_zero:
         return True
     E, P = _short_with_point(E, P)
@@ -115,6 +115,8 @@ def in_identity_component(E: WeierstrassModel, P, v) -> bool:
     x = P.x * pi ** (2 * k)
     y = P.y * pi ** (3 * k)
     if ord_at(x, v) < 0:
+        return True
+    if ord_at(Emin.discriminant(), v) == 0:
         return True
     R = Residue(v)
     abar = R.reduce(Emin.a4)

@@ -28,7 +28,7 @@ def find_pf(E, pole_bound=4):
     f = E.cubic()
     df = f.map_coeffs(lambda c: c.derive())
     ddf = f.map_coeffs(lambda c: c.derive().derive())
-    fprime = f.derivative_x()
+    fprime = f.derivative()
     half = K.from_fraction(1, 2)
     # columns: A, B, C, n0..n4; rows: x^0..x^6 of
     #   A(-ddf f/2 + 3 df^2/4) + B(-df f/2) + C f^2 - (N' f - 3/2 N f') = 0
@@ -39,7 +39,7 @@ def find_pf(E, pole_bound=4):
     x = XPoly.x(K)
     for i in range(5):
         xi = x ** i
-        dxi = xi.derivative_x()
+        dxi = xi.derivative()
         term = dxi * f - (xi * fprime).scale(K.from_fraction(3, 2))
         cols.append(-term)
     rows = 7

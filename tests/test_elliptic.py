@@ -392,3 +392,27 @@ def test_twelve_deg_omega_is_discriminant_sum(Kt):
             for v in curve_places(Es)
         )
         assert total == 12 * deg_omega(E)
+
+
+@pytest.mark.parametrize("n, products", [(2, 1), (3, 2), (4, 2), (6, 3)])
+def test_curve_function_power_squares_no_further_than_the_top_bit(Kt, monkeypatch, n, products):
+    from maninmaps import CurveFunction
+
+    E = legendre(Kt)
+    g = parse_curve_function("x + y", E)
+    expected = g
+    for _ in range(n - 1):
+        expected = expected * g
+    calls = []
+    mul = CurveFunction.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CurveFunction, "__mul__", counting)
+    assert g ** n == expected
+    assert len(calls) == products
+    calls.clear()
+    assert parse_curve_function("(x + y)^%d" % n, E) == expected
+    assert len(calls) == products

@@ -25,6 +25,7 @@ from maninmaps import (
     ord_section,
     p_descent_section,
     p_descent_value,
+    parse_element,
     reduction_table_report,
     scalar_mul,
     tangency_scan,
@@ -265,6 +266,28 @@ def test_component_test_refuses_additive(K5):
     P = CurvePoint(E, K5.from_int(-1), K5.from_int(2))
     with pytest.raises(HypothesisError):
         in_identity_component(E, P, place(K5, [0, 1]))
+
+
+@pytest.mark.parametrize(
+    "a4, a6, x, y",
+    [
+        # a4 vanishes at t, but the discriminant 4t^3 + 27 does not
+        ("t", "1", "0", "1"),
+        # x(P) = t reduces to the node (-3b/2a, 0) of y^2 = x^3 + x + 0,
+        # which a good fiber does not have
+        ("1", "4*t^3 + t^2 + 4*t", "t", "t"),
+    ],
+)
+def test_component_test_at_good_places(K5, a4, a6, x, y):
+    # the fiber at t is I0, so P is on the identity component and its
+    # component order is 1; the test used to read "additive" from a4 alone
+    E = WeierstrassModel.short(K5, parse_element(a4, K5), parse_element(a6, K5))
+    P = CurvePoint(E, parse_element(x, K5), parse_element(y, K5))
+    v = place(K5, [0, 1])
+    assert kodaira_type(E, v).symbol() == "I0"
+    assert in_identity_component(E, P, v) is True
+    assert local_oracle.in_identity_component(E, P, v) is True
+    assert component_order(E, P, v, 10) == 1
 
 
 def test_descent_divisor_no_p_part():

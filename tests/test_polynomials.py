@@ -212,3 +212,44 @@ def test_multiplicity_of_rejects_constant_and_zero_polynomials(field):
             f.multiplicity_of(divisor)
     with pytest.raises(InputError):
         Poly.zero(field).multiplicity_of(poly(1, 1))
+
+
+def _count_products(monkeypatch, cls):
+    calls = []
+    mul = cls.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)])
+def test_power_squares_no_further_than_the_top_bit(monkeypatch, n, products):
+    # square-and-multiply needs (bit length - 1) squarings and
+    # (popcount - 1) further products; squaring past the top bit formed
+    # f^(2^bit length) for nothing
+    f = Poly.from_int_coeffs(PrimeField(5), [1, 2, 3])
+    expected = Poly.one(f.field)
+    for _ in range(n):
+        expected = expected * f
+    calls = _count_products(monkeypatch, Poly)
+    assert f ** n == expected
+    assert len(calls) == products
+    assert f ** 0 == Poly.one(f.field)
+
+
+def test_powmod_squares_no_further_than_the_top_bit(monkeypatch):
+    from maninmaps.polynomials import _powmod
+
+    F5 = PrimeField(5)
+    base = Poly.from_int_coeffs(F5, [1, 2, 3])
+    mod = Poly.from_int_coeffs(F5, [2, 0, 1, 1])
+    assert _powmod(base, 0, mod) == Poly.one(F5)
+    expected = (base ** 6) % mod
+    calls = _count_products(monkeypatch, Poly)
+    assert _powmod(base, 6, mod) == expected
+    assert len(calls) == 3  # two squarings, one product
+

@@ -39,11 +39,11 @@ def exactness_holds(E, L) -> bool:
     DL = (f * f * f).scale(K.from_int(4))
     # the x-part of F must be constant in x
     rx, ry = L.F.rx, L.F.ry
-    if not (rx.num.derivative_x() * rx.den - rx.num * rx.den.derivative_x()).is_zero():
+    if not (rx.num.derivative() * rx.den - rx.num * rx.den.derivative()).is_zero():
         return False
     # right side y-part = ((N'D - N D') 2 f + N D f') / (2 D^2 f)
     N, D = ry.num, ry.den
-    fx = f.derivative_x()
-    RN = (N.derivative_x() * D - N * D.derivative_x()) * f.scale(two) + N * D * fx
+    fx = f.derivative()
+    RN = (N.derivative() * D - N * D.derivative()) * f.scale(two) + N * D * fx
     RD = (D * D * f).scale(two)
     return NL * RD == RN * DL
