@@ -209,6 +209,13 @@ def _divisor_json(report) -> dict:
     return {"entries": report.serialize(), "degree": report.degree}
 
 
+def _section_json(sec) -> dict:
+    out = {"value": str(sec.value), "weight": sec.weight, "diff_degree": sec.diff_degree}
+    if not sec.is_zero():
+        out["divisor"] = _divisor_json(divisor(sec))
+    return out
+
+
 def _check_json(checks) -> list:
     return [{"name": c.name, "pass": c.ok, "detail": c.detail} for c in checks]
 
@@ -233,15 +240,7 @@ def _cmd_invariants(man: Manifest, args):
 
 
 def _cmd_lambda(man: Manifest, args):
-    lam = pdescent.kodaira_spencer_section(man.model)
-    div = divisor(lam)
-    results = {
-        "value": str(lam.value),
-        "weight": lam.weight,
-        "diff_degree": lam.diff_degree,
-        "divisor": _divisor_json(div),
-    }
-    return results, []
+    return _section_json(pdescent.kodaira_spencer_section(man.model)), []
 
 
 def _cmd_mu(man: Manifest, args):
@@ -252,15 +251,7 @@ def _cmd_mu(man: Manifest, args):
 
 def _cmd_nu(man: Manifest, args):
     P = man.pick_point(args.point)
-    nu = pdescent.p_descent_section(man.model, P)
-    results = {
-        "value": str(nu.value),
-        "weight": nu.weight,
-        "diff_degree": nu.diff_degree,
-    }
-    if not nu.is_zero():
-        results["divisor"] = _divisor_json(divisor(nu))
-    return results, []
+    return _section_json(pdescent.p_descent_section(man.model, P)), []
 
 
 def _cmd_descent_bound(man: Manifest, args):
@@ -349,12 +340,7 @@ def _cmd_manin(man: Manifest, args):
     L = _operator_or_find(man, args)
     value = maninmap.manin_value(man.model, L, P)
     sec = maninmap.manin_section(man.model, L, P)
-    results = {"value": str(value), "section": {
-        "value": str(sec.value), "weight": sec.weight, "diff_degree": sec.diff_degree,
-    }}
-    if not sec.is_zero():
-        results["section"]["divisor"] = _divisor_json(divisor(sec))
-    return results, []
+    return {"value": str(value), "section": _section_json(sec)}, []
 
 
 def _cmd_exceptional_set(man: Manifest, args):

@@ -236,15 +236,7 @@ def negate(P: CurvePoint) -> CurvePoint:
 def scalar_mul(n: int, P: CurvePoint) -> CurvePoint:
     if n < 0:
         return scalar_mul(-n, -P)
-    R = CurvePoint.zero(P.model)
-    Q = P
-    while n:
-        if n & 1:
-            R = add(R, Q)
-        n >>= 1
-        if n:
-            Q = add(Q, Q)
-    return R
+    return _power(P, n, add) if n else CurvePoint.zero(P.model)
 
 
 def discriminant(E: WeierstrassModel) -> FieldElement:
@@ -253,6 +245,21 @@ def discriminant(E: WeierstrassModel) -> FieldElement:
 
 def j_invariant(E: WeierstrassModel) -> FieldElement:
     return E.j_invariant()
+
+
+def _gauss_manin(E: WeierstrassModel) -> tuple:
+    """(Delta, delta) = (4 a4^3 + 27 a6^2, 3 a6 a4' - 2 a4 a6') of the depressed
+    model, ' = d/dt; Delta is the discriminant over -16.
+
+    They give the Gauss-Manin connection of (dx/y, x dx/y) (``find_pf``) and
+    j' for j = 6912 a4^3/Delta: j'/j = 3 a4'/a4 - Delta'/Delta
+    = 27 a6 delta/(a4 Delta).  As a4 = 0 or a6 = 0 forces delta = 0, delta
+    vanishes exactly when a4 a6 j' does (in characteristic 0: isotriviality),
+    and the twisted differential a4 j'/(18 a6 j) is 3 delta/(2 Delta).
+    """
+    E = E.depress()[0]
+    a4, a6 = E.a4, E.a6
+    return E.discriminant() / -16, a6 * a4.derive() * 3 - a4 * a6.derive() * 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ is an additive map E(K) -> K killing torsion.  Dividing by A and weighting
 by (dt)^2 / (dx/y) makes it a section of weight -1 and differential degree 2
 that does not depend on the derivation, the model, or the scaling of L.
 The exceptional set S collects bad reduction and the places where the
-classifying map is not an immersion, read off from dj against j = 0, 1728;
-off S the order of the section is the contact excess of the point with the
-leaves through it, and the degree of the bundle bounds the total.  Exactness
+classifying map is not an immersion, read off from dj against j = 0, 1728
+with ord dj taken from the Gauss-Manin pair (Delta, delta) that ``find_pf``
+also uses; off S the order of the section is the contact excess of the
+point with the leaves through it, and the degree of the bundle bounds the
+total.  Exactness
 is tested on numerators cleared into k[t][x], fraction-free.  The operator of
 dx/y itself is read off the Gauss-Manin connection in closed form, with the
 witness solved by back-substitution (``find_pf``); the linear solve it
@@ -27,6 +29,7 @@ from .elliptic import (
     RatX,
     WeierstrassModel,
     XPoly,
+    _gauss_manin,
     curve_places,
     deg_omega,
     kodaira_type,
@@ -164,9 +167,9 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
 
     The shift x -> x + s(t) leaves the periods alone, so this is the operator
     of the cubic f of E itself; only the witness is solved on f.  Nothing
-    divides by zero: j' = 6912 * 27 a4^2 a6 delta/Delta^2, so delta != 0 off
-    the isotrivial case, which is refused; and C != 0, because L(1) = C and
-    the monodromy of a non-isotrivial family fixes no period.
+    divides by zero: delta = 0 is the isotrivial case (``elliptic._gauss_manin``
+    derives j' from Delta and delta), which is refused; and C != 0, because
+    L(1) = C and the monodromy of a non-isotrivial family fixes no period.
 
     The scaling is the one an undetermined-coefficient solve gives when the
     x^4 coefficient of N is 1, which the x^6 equation below turns into
@@ -183,13 +186,11 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
         raise InputError("pole_bound must be nonnegative, got %d" % pole_bound)
     if E.field.char != 0:
         raise InputError("operators with exactness witnesses live in characteristic 0")
-    if E.is_isotrivial():
+    disc, delta = _gauss_manin(E)
+    if delta.is_zero():
         raise NotFoundError("isotrivial curve: the derivative terms degenerate")
     K = E.field
-    Es = E.depress()[0]
-    a4, a6 = Es.a4, Es.a6
-    disc = a4 ** 3 * 4 + a6 ** 2 * 27
-    delta = a6 * a4.derive() * 3 - a4 * a6.derive() * 2
+    a4 = E.depress()[0].a4
     ld, le = disc.derive() / disc, delta.derive() / delta
     c = (
         (disc.derive().derive() / disc - ld * le) / 12
@@ -326,34 +327,38 @@ class ExceptionalSet:
 def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
     """Bad reduction plus excess vanishing of dj relative to j = 0 and 1728.
 
-    On the short model j = c4^3/disc and j - 1728 = c6^2/disc, with
-    c4 = -48 a4 and c6 = -864 a6, so every zero of j or of j - 1728 lies in
-    ``curve_places``.  At a good place the minimal discriminant is a unit,
-    so ord_v(j) = 3(ord_v a4 + 4k_v) and ord_v(j - 1728) = 2(ord_v a6 + 6k_v);
-    only the numerator of dj adds places.
+    On the short model j = 6912 a4^3/Delta, j - 1728 = -46656 a6^2/Delta and
+    j' = 6912 * 27 a4^2 a6 delta/Delta^2 (``elliptic._gauss_manin``), so every
+    zero of j, j - 1728 or dj lies in ``curve_places`` or among the zeros of
+    delta; delta = 0 is isotriviality, refused.  At a good place the minimal
+    discriminant is a unit, so with a = ord_v a4 + 4k_v, b = ord_v a6 + 6k_v
+    and ord_v Delta = -12k_v: ord_v(j) = 3a, ord_v(j - 1728) = 2b and
+    ord_v(dj) = 2a + b + ord_v(delta) + 10k_v, less 2 at infinity, where dt
+    has a double pole.
     """
     if E.field.char != 0:
         raise InputError("the exceptional set is a characteristic-0 notion")
-    if E.is_isotrivial():
-        raise HypothesisError("isotrivial curve: dj vanishes identically")
-    K = E.field
     Es = E.depress()[0]
-    jp = E.j_invariant().derive()
-    places = curve_places(E)
+    delta = _gauss_manin(Es)[1]
+    if delta.is_zero():
+        raise HypothesisError("isotrivial curve: dj vanishes identically")
+    places = curve_places(Es)
     candidates = set(places)
-    candidates.update(v for v, _ in places_of_poly(jp.num, K))
-    bad = {v for v in places if not kodaira_type(E, v).is_good}
+    candidates.update(v for v, _ in places_of_poly(delta.num, Es.field))
+    bad = {v for v in places if not kodaira_type(Es, v).is_good}
     entries = []
     for v in candidates:
         if v in bad:
             entries.append((v, REASON_BAD))
             continue
-        o_dj = ord_at(jp, v) + (-2 if v.is_infinity else 0)
         k = twist_exponent(Es, v)
-        if ord_at(Es.a4, v) + 4 * k > 0:
+        a = ord_at(Es.a4, v) + 4 * k
+        b = ord_at(Es.a6, v) + 6 * k
+        o_dj = 2 * a + b + ord_at(delta, v) + 10 * k - (2 if v.is_infinity else 0)
+        if a > 0:
             if o_dj > 2:
                 entries.append((v, REASON_J0))
-        elif ord_at(Es.a6, v) + 6 * k > 0:
+        elif b > 0:
             if o_dj > 1:
                 entries.append((v, REASON_J1728))
         elif o_dj > 0:

@@ -3,10 +3,11 @@
 Over K = F_p(t), p > 3, a short model y^2 = f(x) carries: the coefficient
 split f^((p-1)/2) = x^p M(x) + A x^(p-1) + L(x) whose x^(p-1) coefficient A
 is the Hasse invariant; a twisted differential measuring the failure of
-Kodaira-Spencer to be an isomorphism; an explicit additive map
-E(K)/pE(K) -> K given by a rational formula in the coordinates and their
-t-derivatives; and the section it induces, whose pole divisor is controlled
-at semistable places.  Tangencies of multiples of a point with the zero
+Kodaira-Spencer to be an isomorphism, 3 delta/(2 Delta) in the Gauss-Manin
+pair of ``elliptic._gauss_manin``; an explicit additive map E(K)/pE(K) -> K
+given by a rational formula in the coordinates, their t-derivatives and
+that pair; and the section it induces, whose pole divisor is controlled at
+semistable places.  Tangencies of multiples of a point with the zero
 section are scanned through division-polynomial values, which keeps the
 whole computation inside fast F_p[t] arithmetic.
 """
@@ -17,6 +18,7 @@ from .elliptic import (
     CurvePoint,
     KodairaType,
     WeierstrassModel,
+    _gauss_manin,
     bad_places,
     curve_places,
     deg_omega,
@@ -78,16 +80,23 @@ class HasseData:
 
 
 def hasse_data(E: WeierstrassModel) -> HasseData:
-    """Split f^((p-1)/2) by x-degree; the defining identity is re-checked."""
+    """Split f^((p-1)/2) by x-degree; the defining identity is re-checked.
+
+    The power is taken on the cleared cubic F/den in k[t][x] and each
+    coefficient divided once by den^((p-1)/2), so no rational function is
+    normalised inside the product.
+    """
     p = _require_charp(E)
     E, _ = _short_with_point(E)
     K = E.field
-    fpow = E.cubic() ** ((p - 1) // 2)
+    F, den = E.cubic().cleared()
+    e = (p - 1) // 2
+    den_e = den ** e
+    fpow = XPoly(K, [FieldElement(K, c, den_e) for c in (F ** e).coeffs])
     M = XPoly(K, fpow.coeffs[p:])
     A = fpow[p - 1]
     L = XPoly(K, fpow.coeffs[: p - 1])
-    shifted = XPoly(K, (K.zero,) * p + M.coeffs) if not M.is_zero() else XPoly.zero(K)
-    rebuilt = shifted + XPoly(K, (K.zero,) * (p - 1) + (A,)) + L
+    rebuilt = XPoly(K, (K.zero,) * p + M.coeffs) + XPoly(K, (K.zero,) * (p - 1) + (A,)) + L
     if rebuilt != fpow:
         raise ConsistencyError("Hasse split does not rebuild f^((p-1)/2)")
     if M.degree > p - 3:
@@ -101,25 +110,21 @@ def hasse_invariant_section(E: WeierstrassModel) -> GradedSection:
 
 
 def kodaira_spencer_section(E: WeierstrassModel) -> GradedSection:
-    """The twisted differential a4/(18 a6) dj/j of weight -2.
+    """The twisted differential a4/(18 a6) dj/j = 3 delta/(2 Delta) of weight -2.
 
-    This closed form degenerates when a6 = 0, j = 0, or j is a p-th power
-    (in particular for isotrivial curves); those inputs are refused.
+    It degenerates exactly when delta = 3 a6 a4' - 2 a4 a6' vanishes, that is
+    when a4 = 0 (j = 0), a6 = 0 (j = 1728) or j is a p-th power (in
+    particular for isotrivial curves); those inputs are refused.
     """
     _require_charp(E)
     E, _ = _short_with_point(E)
-    if E.a6.is_zero():
-        raise HypothesisError("the twisted differential formula needs a6 != 0")
-    j = E.j_invariant()
-    if j.is_zero():
-        raise HypothesisError("the twisted differential formula needs j != 0")
-    jprime = j.derive()
-    if jprime.is_zero():
+    disc, delta = _gauss_manin(E)
+    if delta.is_zero():
         raise HypothesisError(
-            "the j-invariant is a p-th power (or constant); descent is inapplicable"
+            "the twisted differential vanishes (delta = 3 a6 a4' - 2 a4 a6' = 0: "
+            "j is 0, 1728 or a p-th power); descent is inapplicable"
         )
-    value = E.a4 * jprime / (E.a6 * j * 18)
-    return GradedSection(value, -2, 1, E)
+    return GradedSection(delta * 3 / (disc * 2), -2, 1, E)
 
 
 def p_descent_value(E: WeierstrassModel, P: CurvePoint) -> FieldElement:
@@ -133,20 +138,22 @@ def p_descent_value(E: WeierstrassModel, P: CurvePoint) -> FieldElement:
     E, P = _short_with_point(E, P)
     if P.is_zero or P.y.is_zero():
         return E.field.zero  # 2-torsion lies in pE(K) since p is odd
-    return _p_descent_value(E, P, kodaira_spencer_section(E).value, hasse_data(E))
+    kodaira_spencer_section(E)  # refuses the curves where z is undefined
+    return _p_descent_value(E, P, hasse_data(E))
 
 
-def _p_descent_value(E: WeierstrassModel, P: CurvePoint, lam: FieldElement,
-                     data: HasseData) -> FieldElement:
-    """p_descent_value on a short model at P with y(P) != 0, given the
-    twisted differential's value and the Hasse split."""
+def _p_descent_value(E: WeierstrassModel, P: CurvePoint, data: HasseData) -> FieldElement:
+    """p_descent_value on a short model with delta != 0, at P with y(P) != 0.
+
+    With lambda = 3 delta/(2 Delta), the argument
+    z = x'/(2 y lambda) - (12 x^2 + (Delta'/(Delta lambda)) x + 8 a4)/(12 y)
+    is (6 x' Delta - x Delta' - 6 delta (3 x^2 + 2 a4))/(18 y delta).
+    """
     p = E.field.char
     x, y = P.x, P.y
-    disc = E.discriminant()
-    dlog_disc = disc.derive() / disc
-    z = x.derive() / (y * 2 * lam) - (
-        x * x * 12 + (dlog_disc / lam) * x + E.a4 * 8
-    ) / (y * 12)
+    disc, delta = _gauss_manin(E)
+    num = x.derive() * disc * 6 - x * disc.derive() - delta * (x * x * 3 + E.a4 * 2) * 6
+    z = num / (y * delta * 18)
     return y * data.M.evaluate(x) + z ** p - data.A * z
 
 
@@ -508,7 +515,7 @@ def descent_bound_report(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) ->
     if P.is_zero or P.y.is_zero():
         mu = E.field.zero
     else:
-        mu = _p_descent_value(E, P, lam.value, data)
+        mu = _p_descent_value(E, P, data)
     checks = []
     mu_zero = mu.is_zero()
     nu_div = None

@@ -88,6 +88,8 @@ class Rationals:
     """The field Q; raw elements are Fraction, closed under Python arithmetic."""
 
     char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -105,14 +107,6 @@ class Rationals:
             raise ZeroDivisionError("division by zero in Q")
         return Fraction(a) / b
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -129,6 +123,9 @@ class PrimeField:
     Python arithmetic on raw elements gives ints, and ``reduce`` maps a list
     of them back into [0, p).
     """
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -152,14 +149,6 @@ class PrimeField:
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

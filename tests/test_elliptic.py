@@ -416,3 +416,23 @@ def test_curve_function_power_squares_no_further_than_the_top_bit(Kt, monkeypatc
     calls.clear()
     assert parse_curve_function("(x + y)^%d" % n, E) == expected
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("n, adds", [(1, 0), (2, 1), (3, 2), (4, 2), (6, 3), (-4, 2)])
+def test_scalar_mul_doubles_no_further_than_the_top_bit(monkeypatch, n, adds):
+    from maninmaps import elliptic
+
+    E, P, _ = legendre_cover_2(PrimeField(5))
+    expected = CurvePoint.zero(E)
+    for _ in range(abs(n)):
+        expected = add(expected, P if n > 0 else negate(P))
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return add(a, b)
+
+    monkeypatch.setattr(elliptic, "add", counting)
+    assert scalar_mul(n, P) == expected
+    assert len(calls) == adds
+    assert scalar_mul(0, P) == CurvePoint.zero(E)
