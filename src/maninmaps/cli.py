@@ -339,7 +339,7 @@ def _cmd_manin(man: Manifest, args):
     P = man.pick_point(args.point)
     L = _operator_or_find(man, args)
     value = maninmap.manin_value(man.model, L, P)
-    sec = maninmap.manin_section(man.model, L, P)
+    sec = maninmap._section_of(man.model, L, value)
     return {"value": str(value), "section": _section_json(sec)}, []
 
 

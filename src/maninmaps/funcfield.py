@@ -18,10 +18,11 @@ Each tower has one body.  ``XPoly`` takes its structure and its ring
 operations (+, -, negation, ``scale``, ``derivative`` in x, powers) from
 ``polynomials._DensePoly``, as ``Poly`` does, and keeps only its product,
 division and gcd; the private base ``_Quotient`` holds the canonical-fraction
-arithmetic (gcd and monic denominator, equality, + - * / **) of both
-``FieldElement`` over k[t] and ``RatX`` over K[x].  The constant fields
-supply ``from_int``, ``reduce``, ``inv`` and ``div``; ``FieldElement``
-reaches them only through ``Poly`` and ``div`` in ``evaluate``.
+arithmetic (coprime with a monic denominator, equality, + - * / ** by
+Henrici's gcd splitting) of both ``FieldElement`` over k[t] and ``RatX`` over
+K[x].  The constant fields supply ``from_int``, ``inv`` and ``div``;
+``FieldElement`` reaches them only through ``Poly`` and ``div`` in
+``evaluate``.
 """
 
 from __future__ import annotations
@@ -97,12 +98,23 @@ class FunctionField:
 
 
 class _Quotient:
-    """num/den in canonical form: coprime, with a monic denominator.
+    """num/den in canonical form: coprime, with a monic denominator, and 1 for 0.
 
     The arithmetic ``FieldElement`` (over k[t]) and ``RatX`` (over K[x])
     share.  The polynomials supply ``gcd``, ``one`` and their coefficient
-    domain ``field``, whose ``one`` and ``inv`` make the denominator monic;
-    canonical forms make structural equality mathematical equality.
+    domain ``field``, whose ``one`` and ``inv`` make a denominator monic;
+    canonical forms make structural equality mathematical equality.  The
+    constructor normalises outside input with a full gcd.  The arithmetic
+    takes canonical operands to a canonical result through ``_make``, with
+    Henrici's gcd splitting (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), which
+    takes a gcd only where a common factor can remain:
+
+    - a/b * c/d = (a/g1 * c/g2) / (b/g2 * d/g1), g1 = gcd(a, d), g2 = gcd(c, b);
+    - a/b + c/d needs no gcd when b or d is 1; otherwise, with g = gcd(b, d)
+      and t = a*(d/g) + c*(b/g), it is t/(b/g * d/g) when g = 1 and
+      (t/g2) / (b/g * d/g * g/g2) with g2 = gcd(t, g) when not;
+    - a power of a canonical fraction is canonical, and the reciprocal b/a
+      only needs the scaling that makes a monic.
     """
 
     __slots__ = ("field", "num", "den")
@@ -127,6 +139,13 @@ class _Quotient:
         self.num = num
         self.den = den
 
+    def _make(self, num, den):
+        """num/den of this type and field, for num and den already coprime, den monic."""
+        q = object.__new__(type(self))
+        q.field, q.num = self.field, num
+        q.den = num.one(num.field) if num.is_zero() and not den.is_one() else den
+        return q
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -149,39 +168,58 @@ class _Quotient:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return type(self)(
-            self.field,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_one():
+            return self._make(a * d + c, d)
+        if d.is_one():
+            return self._make(a + c * b, b)
+        g = b.gcd(d)
+        if g.degree == 0:
+            return self._make(a * d + c * b, b * d)
+        b, d = b // g, d // g
+        t = a * d + c * b
+        g2 = t.gcd(g)
+        if g2.degree > 0:
+            t, g = t // g2, g // g2
+        return self._make(t, b * d * g)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return type(self)(
-            self.field,
-            self.num * other.den - other.num * self.den,
-            self.den * other.den,
-        )
+        return self + -self._coerce(other)
 
     def __neg__(self):
-        return type(self)(self.field, -self.num, self.den)
+        return self._make(-self.num, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return type(self)(self.field, self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not d.is_one():
+            g1 = a.gcd(d)
+            if g1.degree > 0:
+                a, d = a // g1, d // g1
+        if not b.is_one():
+            g2 = c.gcd(b)
+            if g2.degree > 0:
+                c, b = c // g2, b // g2
+        return self._make(a * c, b * d)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
+        return self * self._coerce(other)._reciprocal()
+
+    def _reciprocal(self):
+        """den/num, both scaled to make num's leading coefficient 1."""
+        if self.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return type(self)(self.field, self.num * other.den, self.den * other.num)
+        lc = self.num.leading
+        k = self.num.field
+        if lc == k.one:
+            return self._make(self.den, self.num)
+        inv = k.inv(lc)
+        return self._make(self.den.scale(inv), self.num.scale(inv))
 
     def __pow__(self, n: int):
         if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("division by the zero rational function")
-            return type(self)(self.field, self.den ** -n, self.num ** -n)
-        return type(self)(self.field, self.num ** n, self.den ** n)
+            return self._reciprocal() ** -n
+        return self._make(self.num ** n, self.den ** n)
 
 
 class FieldElement(_Quotient):
@@ -209,12 +247,23 @@ class FieldElement(_Quotient):
         return self._coerce(other) / self
 
     def derive(self) -> FieldElement:
-        """d/d(var) by the quotient rule."""
-        return FieldElement(
-            self.field,
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        """d/d(var) by the quotient rule, with one gcd against gcd(den, den').
+
+        With g = gcd(d, d'), d = g*e and d' = g*h, (n/d)' = (n'e - nh)/(g*e^2),
+        and n'e - nh is prime to e (n and h are), so only a factor of g can
+        cancel.  d' = 0 (d = 1, or a p-th power over F_p) gives g = d, e = 1.
+        """
+        n, d = self.num, self.den
+        if d.is_one():
+            return self._make(n.derivative(), d)
+        dd = d.derivative()
+        g = d.gcd(dd)
+        e = d // g
+        m = n.derivative() * e - n * (dd // g)
+        g2 = m.gcd(g)
+        if g2.degree > 0:
+            m, g = m // g2, g // g2
+        return self._make(m, g * e * e)
 
     def evaluate(self, point):
         """Evaluate at a raw constant; the point must not be a pole."""
@@ -293,7 +342,9 @@ def ord_at(f: FieldElement, place: Place):
         return INF
     if place.is_infinity:
         return f.den.degree - f.num.degree
-    return f.num.multiplicity_of(place.pi) - f.den.multiplicity_of(place.pi)
+    # num and den are coprime, so at most one of them vanishes at the place
+    k = f.num.multiplicity_of(place.pi)
+    return k if k else -f.den.multiplicity_of(place.pi)
 
 
 def derive(f: FieldElement) -> FieldElement:
@@ -458,7 +509,7 @@ class XPoly(_DensePoly):
         while cs and cs[-1].is_zero():
             cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.terms = tuple(cs)
 
     @classmethod
     def const(cls, c: FieldElement):

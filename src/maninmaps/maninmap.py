@@ -281,8 +281,12 @@ def manin_section(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> GradedSe
     to a (dx/2y)-based expression multiplies the value by the constant 2 and
     changes no order or divisor.
     """
-    value = manin_value(E, L, P) / L.A
-    return GradedSection(value, -1, 2, E)
+    return _section_of(E, L, manin_value(E, L, P))
+
+
+def _section_of(E: WeierstrassModel, L: PFOperator, value: FieldElement) -> GradedSection:
+    """``manin_section`` for the value M(P) already computed."""
+    return GradedSection(value / L.A, -1, 2, E)
 
 
 # ---------------------------------------------------------------------------

@@ -1,40 +1,40 @@
 """Exact univariate polynomial arithmetic over Q and F_p.
 
-Coefficients are raw values: ``fractions.Fraction`` over the rationals,
-integers in ``[0, p)`` over a prime field.  A :class:`Poly` stores a dense,
-ascending coefficient tuple with no trailing zeros; the empty tuple is the
-zero polynomial.  All operations are pure and results are canonical, so
-structural equality is mathematical equality.  The constant fields supply
-``from_int``, ``reduce`` (raw results of Python arithmetic back to raw
-elements: the identity over Q, ``% p`` over F_p), ``inv`` and ``div``.  The
-body of a dense polynomial (constructors, degree, equality, ``monic``, and
-the ring operations +, -, negation, ``scale``, ``derivative`` and powers)
-lives in the private base ``_DensePoly``, which ``Poly`` and
-``funcfield.XPoly`` share; it computes with Python operators and passes
-each result once through ``reduce`` for a ``Poly``.
+A :class:`Poly` is ``content * sum(terms[i] x^i)`` for a dense ascending
+tuple ``terms`` with no trailing zeros (empty for zero).  Over F_p the terms
+are the residues in [0, p) and ``content`` is None; over Q they are
+primitive integers with a positive leading one and ``content`` is a
+``Fraction``.  Forms are canonical, so structural equality is mathematical
+equality.  Over Q, by Gauss's lemma, a product is the product of the
+primitive parts under the product of the contents, ``scale`` and ``monic``
+change only the content, and a sum is made primitive with one ``math.gcd``;
+``coeffs`` builds the Fraction coefficients on demand.  The body of a dense
+polynomial (constructors, degree, equality, ``monic`` and the ring
+operations) lives in the private base ``_DensePoly``, which
+``funcfield.XPoly`` shares; over F_p each result is reduced once mod p.
 
 All modular arithmetic runs on one set of list kernels over Z/mZ, with m = p
 or m = p^k: ``_add_mod``, ``_sub_mod``, ``_mul_mod`` (Kronecker substitution:
 pack coefficients into one big integer, multiply, unpack; word-packed, one
 ``array`` conversion per operand and one for the product, whenever every
-product coefficient fits 2, 4 or 8 bytes) and ``_divmod_mod``.
-``Poly`` multiplication and division over F_p, the F_p gcd for p >= 16
-(each Euclid remainder is one ``_divmod_mod``), the multiplicity of a
-non-linear factor, Hensel lifting and factor recombination over Z/p^kZ all
-use them.  Two input-specific fast paths sit beside them: the F_p gcd packs
-one coefficient per byte for p < 16, where a Euclid step cannot carry between
-bytes (every byte stays below p^2 <= 255), so each step is one big-integer
-update and one ``bytes.translate``; the multiplicity of a monic linear factor
-is a Horner loop.  Over Q one exact division kernel over Z,
-``_divmod_int_poly``, carries division (pseudo-division: the dividend times
-lc(divisor)^(deg difference + 1) divides exactly), the multiplicity
-(primitive integer forms, by Gauss's lemma) and the candidate tests of the
-gcd and of recombination.  The gcd over Q combines gcds modulo primes below
-2^31 by CRT.  Factorization is complete over F_p (squarefree split,
-distinct-degree, equal-degree) and over Q uses squarefree decomposition, a
-modular factorization lifted by splitting off one factor at a time (Hensel)
-and capped subset recombination (Zassenhaus), with modular degree patterns
-used to certify irreducibility.
+product coefficient fits 2, 4 or 8 bytes) and ``_divmod_mod``.  ``Poly``
+multiplication over F_p and over Z (modulo twice a coefficient bound),
+division over F_p, the F_p gcd for p >= 16 (each Euclid remainder is one
+``_divmod_mod``), the multiplicity of a non-linear factor, Hensel lifting and
+factor recombination over Z/p^kZ all use them.  Two input-specific fast
+paths sit beside them: the F_p gcd packs one coefficient per byte for
+p < 16, where a Euclid step cannot carry between bytes (every byte stays
+below p^2 <= 255), so each step is one big-integer update and one
+``bytes.translate``; the multiplicity of a monic linear factor is a Horner
+loop.  Over Q one exact division kernel over Z, ``_divmod_int_poly``, carries
+division (pseudo-division: the dividend times lc(divisor)^(deg difference +
+1) divides exactly), the multiplicity and the candidate tests of the gcd and
+of recombination, all on the primitive terms.  The gcd over Q combines gcds
+modulo primes below 2^31 by CRT.  Factorization is complete over F_p
+(squarefree split, distinct-degree, equal-degree) and over Q uses
+squarefree decomposition, a modular factorization lifted by splitting off
+one factor at a time (Hensel) and capped subset recombination (Zassenhaus),
+with modular degree patterns used to certify irreducibility.
 """
 
 from __future__ import annotations
@@ -94,18 +94,13 @@ class Rationals:
     def from_int(self, n):
         return Fraction(n)
 
-    def reduce(self, cs):
-        return cs
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
         return 1 / Fraction(a)
 
     def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return Fraction(a) / b
+        return self.inv(b) * a
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -118,11 +113,7 @@ class Rationals:
 
 
 class PrimeField:
-    """The field F_p for a prime p > 3; raw elements are ints in [0, p).
-
-    Python arithmetic on raw elements gives ints, and ``reduce`` maps a list
-    of them back into [0, p).
-    """
+    """The field F_p for a prime p > 3; raw elements are ints in [0, p)."""
 
     zero = 0
     one = 1
@@ -137,10 +128,6 @@ class PrimeField:
 
     def from_int(self, n):
         return n % self.p
-
-    def reduce(self, cs):
-        p = self.p
-        return [c % p for c in cs]
 
     def inv(self, a):
         if a == 0:
@@ -182,15 +169,16 @@ def _power(base, n: int, mul=operator.mul):
 class _DensePoly:
     """Dense univariate polynomial: the body ``Poly`` and ``funcfield.XPoly`` share.
 
-    ``coeffs`` is an ascending tuple with no trailing zeros over a coefficient
-    domain ``field`` that supplies ``zero``, ``one``, ``from_int`` and
-    ``inv``.  The ring operations here compute with Python operators on the
-    coefficients and build the result through ``_new``, which a subclass
-    overrides to reduce raw coefficients; subclasses supply ``__init__``
-    (the trimming), ``__mul__``, ``__divmod__`` and ``to_str``.
+    It is ``content * sum(terms[i] x^i)``: ``terms`` ascends with no trailing
+    zeros over a domain ``field`` with ``zero``, ``one``, ``from_int`` and
+    ``inv``, and ``content`` is None (read as 1) except for ``Poly`` over Q.
+    The ring operations compute on the terms and build results through
+    ``_new``, which a subclass overrides to reduce them; subclasses supply
+    ``__init__``, ``__mul__``, ``__divmod__`` and ``to_str``.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "terms")
+    content = None
 
     @classmethod
     def zero(cls, field):
@@ -205,46 +193,51 @@ class _DensePoly:
         return cls(field, (field.zero, field.one))
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients in ``field``, ascending (built on demand over Q)."""
+        c = self.content
+        return self.terms if c is None else tuple(c * n for n in self.terms)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.terms) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
+        t, c = self.terms, self.content
+        return len(t) == 1 and (t[0] == self.field.one if c is None else c == 1)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.terms) <= 1
 
     @property
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else self.field.zero
+        t, c = self.terms, self.content
+        return (t[-1] if c is None else c * t[-1]) if t else self.field.zero
 
     def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
+        if not 0 <= i < len(self.terms):
+            return self.field.zero
+        return self.terms[i] if self.content is None else self.content * self.terms[i]
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        return (type(other) is type(self) and self.field == other.field
+                and self.terms == other.terms and self.content == other.content)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.terms))
 
     def _new(self, cs):
-        """The polynomial over the same domain with coefficients cs."""
+        """The polynomial over the same domain with terms cs."""
         return type(self)(self.field, cs)
 
     # -- ring operations
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -253,22 +246,22 @@ class _DensePoly:
         return self._new(out)
 
     def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.terms, other.terms
         out = list(a) + [self.field.zero] * (len(b) - len(a))
         for i, c in enumerate(b):
             out[i] -= c
         return self._new(out)
 
     def __neg__(self):
-        return self._new([-c for c in self.coeffs])
+        return self._new([-c for c in self.terms])
 
     def scale(self, c):
-        return self._new([c * a for a in self.coeffs])
+        return self._new([c * a for a in self.terms])
 
     def derivative(self):
         """d/d(own variable)."""
         from_int = self.field.from_int
-        return self._new([from_int(i) * c for i, c in enumerate(self.coeffs)][1:])
+        return self._new([from_int(i) * c for i, c in enumerate(self.terms)][1:])
 
     def __pow__(self, n: int):
         if n < 0:
@@ -294,16 +287,67 @@ class _DensePoly:
 
 
 class Poly(_DensePoly):
-    """Dense univariate polynomial over a constant field."""
+    """Dense univariate polynomial over a constant field (over Q from ints or Fractions)."""
 
-    __slots__ = ()
+    __slots__ = ("content",)
 
     def __init__(self, field, coeffs):
         self.field = field
         cs = list(coeffs)
         while cs and cs[-1] == field.zero:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self.terms, self.content = tuple(cs), None
+        if not field.char:
+            d = math.lcm(*[c.denominator for c in cs])
+            ints = [c.numerator * (d // c.denominator) for c in cs]
+            self.terms = tuple(_primitive(ints))
+            self.content = Fraction(ints[-1] // self.terms[-1] if ints else 0, d)
+
+    def _new(self, cs: list, content=None):
+        """cs mod p over F_p; over Q, content (default: this one's) * cs with one gcd."""
+        if self.content is None:
+            p = self.field.p
+            return Poly(self.field, [c % p for c in cs])
+        prim = _primitive(_trim(cs))
+        g = cs[-1] // prim[-1] if prim else 0
+        content = self.content if content is None else content
+        return _qpoly(self.field, prim, content if g == 1 else content * g)
+
+    def __add__(self, other):
+        if self.content is None:
+            return _DensePoly.__add__(self, other)
+        # c * (ma * A + mb * B) for c = gcd(na, nb)/lcm(da, db), contents na/da, nb/db
+        (A, ca), (B, cb) = (self.terms, self.content), (other.terms, other.content)
+        if not A or not B:
+            return self if A else other
+        (na, da), (nb, db) = ca.as_integer_ratio(), cb.as_integer_ratio()
+        g, d = math.gcd(na, nb), math.lcm(da, db)
+        ma, mb = na // g * (d // da), nb // g * (d // db)
+        out = [ma * c for c in A] + [0] * (len(B) - len(A))
+        for i, c in enumerate(B):
+            out[i] += mb * c
+        return self._new(out, Fraction(g, d))
+
+    def __sub__(self, other):
+        if self.content is None:
+            return _DensePoly.__sub__(self, other)
+        return self + _qpoly(self.field, other.terms, -other.content)
+
+    def scale(self, c):
+        if self.content is None:
+            return _DensePoly.scale(self, c)
+        c *= self.content
+        return _qpoly(self.field, self.terms if c else (), c)
+
+    def monic(self):
+        if self.content is None or not self.terms:
+            return _DensePoly.monic(self)
+        return _qpoly(self.field, self.terms, Fraction(1, self.terms[-1]))
+
+    def derivative(self):
+        if self.content is None:
+            return _DensePoly.derivative(self)
+        return self._new([i * c for i, c in enumerate(self.terms)][1:])
 
     @classmethod
     def const(cls, field, c):
@@ -313,21 +357,20 @@ class Poly(_DensePoly):
     def from_int_coeffs(cls, field, ints):
         return cls(field, [field.from_int(c) for c in ints])
 
-    def _new(self, cs):
-        return Poly(self.field, self.field.reduce(cs))
-
     def __mul__(self, other):
         f = self.field
-        a, b = self.coeffs, other.coeffs
+        a, b = self.terms, other.terms
         if not a or not b:
-            return Poly.zero(f)
+            return other if a else self
+        if not f.char:
+            # Gauss's lemma: a product of primitive parts is primitive, lc > 0
+            ab = b if len(a) == 1 else a if len(b) == 1 else _mul_int(a, b)
+            return _qpoly(f, ab, self.content * other.content)
         if len(a) == 1:
             return other.scale(a[0])
         if len(b) == 1:
             return self.scale(b[0])
-        if f.char:
-            return Poly(f, _mul_mod(a, b, f.p))
-        return Poly(f, _mul_qq(a, b))
+        return Poly(f, _mul_mod(a, b, f.p))
 
     def shift(self, k: int):
         """Multiply by x**k."""
@@ -340,26 +383,18 @@ class Poly(_DensePoly):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_constant():
-            inv = f.inv(other.coeffs[0])
+            inv = f.inv(other.leading)
             return self.scale(inv), Poly.zero(f)
         if f.char:
-            q, r = _divmod_mod(self.coeffs, other.coeffs, f.p)
+            q, r = _divmod_mod(self.terms, other.terms, f.p)
             return Poly(f, q), Poly(f, r)
-        if len(self.coeffs) < len(other.coeffs):
-            return Poly.zero(f), self
-        return self._divmod_qq(other)
-
-    def _divmod_qq(self, other):
         # lc(B)^(deg A - deg B + 1) * A divides exactly by B over Z
-        # (pseudo-division); denominators restored at the end
-        da, A = _clear_denominators(self.coeffs)
-        db, B = _clear_denominators(other.coeffs)
-        scale = B[-1] ** (len(A) - len(B) + 1)
-        Q, R = _divmod_int_poly([scale * c for c in A], B)
-        denom = scale * da
-        q = [Fraction(c * db, denom) for c in Q]
-        r = [Fraction(c, denom) for c in R]
-        return Poly(self.field, q), Poly(self.field, r)
+        # (pseudo-division); the contents are restored at the end
+        A, B = self.terms, other.terms
+        s = B[-1] ** max(0, len(A) - len(B) + 1)
+        Q, R = _divmod_int_poly([s * c for c in A], B)
+        c = self.content / s
+        return self._new(Q, c / other.content), self._new(R, c)
 
     def divexact(self, other):
         q, r = divmod(self, other)
@@ -374,17 +409,13 @@ class Poly(_DensePoly):
         if other.is_constant():
             raise InputError("a multiplicity needs a non-constant divisor, got %s" % other)
         if self.field.char:
-            return _multiplicity_fp(
-                list(self.coeffs), list(other.coeffs), self.field.p
-            )
+            return _multiplicity_fp(list(self.terms), list(other.terms), self.field.p)
         # Gauss's lemma: a primitive b divides a over Q iff it does over Z
-        a, b = _to_int_primitive(self), _to_int_primitive(other)
-        k = 0
+        a, b, k = self.terms, other.terms, 0
         while True:
-            q, r = _divmod_int_poly(a, b)
-            if q is None or any(r):
+            a, r = _divmod_int_poly(a, b)
+            if a is None or any(r):
                 return k
-            a = q
             k += 1
 
     def evaluate(self, point):
@@ -430,8 +461,7 @@ class Poly(_DensePoly):
         if self.is_zero():
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == f.zero:
                 continue
             if i == 0:
@@ -610,10 +640,11 @@ def _gcd_bytes(a: list, b: list, p: int) -> list:
 # Q[x] through integer coefficient lists
 
 
-def _clear_denominators(coeffs):
-    """(d, ints) with coeffs[i] = ints[i] / d."""
-    d = math.lcm(*[c.denominator for c in coeffs])
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+def _qpoly(field, terms, content) -> Poly:
+    """The Q polynomial content * terms, for terms already primitive with lc > 0."""
+    f = object.__new__(Poly)
+    f.field, f.terms, f.content = field, tuple(terms), content
+    return f
 
 
 def _divmod_int_poly(a: list, b: list):
@@ -632,19 +663,10 @@ def _divmod_int_poly(a: list, b: list):
     return q, a[: len(b) - 1]
 
 
-def _mul_qq(a, b) -> list:
-    """Product of Fraction tuples via integer convolution over a common denominator."""
-    da, ia = _clear_denominators(a)
-    db, ib = _clear_denominators(b)
-    out = [0] * (len(a) + len(b) - 1)
-    if len(ia) > len(ib):
-        ia, ib = ib, ia
-    for i, ci in enumerate(ia):
-        if ci:
-            for j, cj in enumerate(ib):
-                out[i + j] += ci * cj
-    d = da * db
-    return [Fraction(c, d) for c in out]
+def _mul_int(a, b) -> list:
+    """Product of integer lists: ``_mul_mod`` modulo m > 2 * |every product coefficient|."""
+    m = 2 * min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)) + 1
+    return [c - m if 2 * c > m else c for c in _mul_mod([c % m for c in a], [c % m for c in b], m)]
 
 
 # descending primes below 2^31 for the modular gcd over Q, each searched for
@@ -672,8 +694,7 @@ def _gcd_qq(a: Poly, b: Poly) -> Poly:
     long as needed the CRT modulus passes the coefficient bound and the
     loop ends.
     """
-    fa = _to_int_primitive(a)
-    fb = _to_int_primitive(b)
+    fa, fb = a.terms, b.terms
     lcg = math.gcd(fa[-1], fb[-1])
     best_deg = None
     crt_mod = 1
@@ -709,12 +730,7 @@ def _gcd_qq(a: Poly, b: Poly) -> Poly:
         qb, rb = _divmod_int_poly(fb, cand)
         if qb is None or any(rb):
             continue
-        return Poly(a.field, [Fraction(c) for c in cand]).monic()
-
-
-def _to_int_primitive(f: Poly) -> list:
-    """The primitive integer multiple of f with positive leading coefficient."""
-    return _primitive(_clear_denominators(f.coeffs)[1])
+        return _qpoly(a.field, cand, Fraction(1, cand[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -887,13 +903,11 @@ def _center(c: int, m: int) -> int:
 
 
 def _primitive(ints: list) -> list:
+    """ints over their content, signed to make the leading entry positive."""
     g = math.gcd(*ints)
-    if g == 0:
-        return ints
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    if g and ints[-1] < 0:
+        g = -g
+    return ints if g in (0, 1) else [c // g for c in ints]
 
 
 def _factor_zz_squarefree(ints: list) -> list:
@@ -981,22 +995,6 @@ def _recombine(f: list, lifted: list, m: int) -> list:
     return out
 
 
-def _factor_qq_squarefree(f: Poly) -> list:
-    """Monic irreducible factors of a squarefree monic f over Q."""
-    ints = _to_int_primitive(f)
-    out = []
-    k = 0
-    while ints[0] == 0:
-        ints = ints[1:]
-        k += 1
-    if k:
-        out.append(Poly.x(f.field))
-    if len(ints) > 1:
-        for fac in _factor_zz_squarefree(ints):
-            out.append(Poly(f.field, [Fraction(c) for c in fac]).monic())
-    return out
-
-
 _FACTOR_CACHE: dict = {}
 # entries kept before the cache is emptied, so a long-lived process stays bounded
 _FACTOR_CACHE_MAX = 4096
@@ -1018,8 +1016,9 @@ def factor(f: Poly) -> list:
         return list(cached)
     found: dict = {}
     for part, mult in squarefree_decomposition(f):
-        if f.field.char == 0:
-            irreds = _factor_qq_squarefree(part)
+        if f.field.char == 0:  # the monic multiples of the integer factors
+            irreds = [_qpoly(f.field, g, Fraction(1, g[-1]))
+                      for g in _factor_zz_squarefree(part.terms)]
         else:
             irreds = _factor_fp_squarefree(part)
         for g in irreds:

@@ -64,6 +64,16 @@ def test_manin_reports_golden_value(capsys):
     assert support <= {"s", "s + 2", "s - 2", "s^2 - 2", "infinity"}
 
 
+def test_manin_evaluates_the_witness_once(capsys, monkeypatch):
+    from maninmaps.elliptic import CurveFunction
+
+    calls = []
+    inner = CurveFunction.evaluate
+    monkeypatch.setattr(CurveFunction, "evaluate", lambda F, P: calls.append(P) or inner(F, P))
+    code, _ = run_json(capsys, "manin", str(MANIFESTS / "legendre-p2.cfg"))
+    assert code == 0 and len(calls) == 1
+
+
 def test_tangency_reports_contact_three(capsys):
     code, doc = run_json(capsys, "tangency", str(MANIFESTS / "legendre-biquadratic.cfg"))
     assert code == 0
