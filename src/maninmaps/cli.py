@@ -192,8 +192,13 @@ def _option_int(text: str) -> int:
 
 def _split_pair(text: str):
     s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
+    depth = 0
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            break
+    if s.startswith("(") and not depth and i == len(s) - 1:
+        s = s[1:-1]  # the first parenthesis closes at the end: it wraps the pair
     depth = 0
     for i, ch in enumerate(s):
         if ch == "(":

@@ -297,6 +297,13 @@ class Place:
         self.field = field
         self.pi = pi
 
+    @classmethod
+    def _trusted(cls, field, pi):
+        """The place of a monic irreducible pi, as ``factor`` returns it, unchecked."""
+        place = object.__new__(cls)
+        place.field, place.pi = field, pi
+        return place
+
     @property
     def is_infinity(self) -> bool:
         return self.pi is None
@@ -355,7 +362,7 @@ def places_of_poly(q: Poly, field: FunctionField) -> list:
     """Finite places in the support of a nonzero polynomial, with multiplicities."""
     if q.is_constant():
         return []
-    return [(Place(field, g), m) for g, m in factor(q)]
+    return [(Place._trusted(field, g), m) for g, m in factor(q)]
 
 
 def support_places(*fs: FieldElement) -> set:
@@ -511,10 +518,6 @@ class XPoly(_DensePoly):
         self.field = field
         self.terms = tuple(cs)
 
-    @classmethod
-    def const(cls, c: FieldElement):
-        return cls(c.field, (c,))
-
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return XPoly.zero(self.field)
@@ -622,7 +625,7 @@ class RatX(_Quotient):
 
     @classmethod
     def const(cls, c: FieldElement):
-        return cls(c.field, XPoly.const(c))
+        return cls(c.field, XPoly.const(c.field, c))
 
     def is_xpoly(self):
         return self.den.degree == 0

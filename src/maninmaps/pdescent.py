@@ -314,40 +314,41 @@ def _descent_divisor(E: WeierstrassModel, P: CurvePoint, n_max: int, bad,
 # division-polynomial values and the tangency scan
 
 
-def _division_values(a: Poly, b: Poly, x0: Poly, y0: Poly, n_top: int) -> list:
-    """Values psi_n(P) in k[t] for 0 <= n <= n_top on y^2 = x^3 + a x + b."""
-    field = a.field
-    zero, one = Poly.zero(field), Poly.one(field)
-
-    def c(n):
-        return Poly.const(field, field.from_int(n))
-
-    x2 = x0 * x0
+def _ward_start(a: Poly, b: Poly, x0: Poly, y0: Poly):
+    """([f_0, ..., f_4], G) of ``_division_values`` at (x0, y0) on y^2 = x^3 + a x + b."""
+    x2, a2, one = x0 * x0, a * a, Poly.one(a.field)
     x3 = x2 * x0
-    a2 = a * a
-    psi3 = c(3) * x2 * x2 + c(6) * a * x2 + c(12) * b * x0 - a2
-    psi4_core = (
-        x3 * x3
-        + c(5) * a * x2 * x2
-        + c(20) * b * x3
-        - c(5) * a2 * x2
-        - c(4) * a * b * x0
-        - c(8) * b * b
-        - a2 * a
-    )
-    two_y = c(2) * y0
-    psi = [zero, one, two_y, psi3, two_y * c(2) * psi4_core]
-    for n in range(5, n_top + 1):
+    psi3 = (x2 * x2).scale(3) + (a * x2).scale(6) + (b * x0).scale(12) - a2
+    psi4_core = (x3 * x3 + (a * x2 * x2 - a2 * x2).scale(5) + (b * x3).scale(20)
+                 - (a * b * x0).scale(4) - (b * b).scale(8) - a2 * a)
+    return [Poly.zero(a.field), one, one, psi3, psi4_core.scale(2)], (y0 ** 4).scale(16)
+
+
+def _ward(f: list, G, n_top: int, reduce=None) -> list:
+    """Extend f_0..f_k (k >= 4) to f_n_top by ``_division_values``'s recurrence
+    in any ring with * and -, passing each new value through reduce."""
+    for n in range(len(f), n_top + 1):
         m = n // 2
-        if n % 2:
-            val = psi[m + 2] * psi[m] ** 3 - psi[m - 1] * psi[m + 1] ** 3
-        elif two_y.is_zero():
-            val = zero  # 2-torsion point: every even multiple is the origin
+        if n % 2 == 0:
+            val = f[m] * (f[m + 2] * f[m - 1] ** 2 - f[m - 2] * f[m + 1] ** 2)
+        elif m % 2 == 0:
+            val = G * f[m + 2] * f[m] ** 3 - f[m - 1] * f[m + 1] ** 3
         else:
-            val = psi[m] * (psi[m + 2] * psi[m - 1] ** 2 - psi[m - 2] * psi[m + 1] ** 2)
-            val = val.divexact(two_y)
-        psi.append(val)
-    return psi
+            val = f[m + 2] * f[m] ** 3 - G * f[m - 1] * f[m + 1] ** 3
+        f.append(val if reduce is None else reduce(val))
+    return f
+
+
+def _division_values(a: Poly, b: Poly, x0: Poly, y0: Poly, n_top: int) -> list:
+    """Values psi_n(P) in k[t] for 0 <= n <= n_top on y^2 = x^3 + a x + b.
+
+    psi_n = f_n for odd n and 2 y0 f_n for even n, with f_0..f_4 = 0, 1, 1,
+    psi_3, psi_4/(2 y0) and G = 16 y0^4, makes Ward's identities (Ward 1948;
+    Silverman, AEC, Ex. 3.7) division-free: f_2m = f_m (f_m+2 f_m-1^2 -
+    f_m-2 f_m+1^2), and f_2m+1 = G f_m+2 f_m^3 - f_m-1 f_m+1^3 for even m,
+    f_m+2 f_m^3 - G f_m-1 f_m+1^3 for odd m."""
+    f, two_y = _ward(*_ward_start(a, b, x0, y0), n_top), y0.scale(2)
+    return [q if n % 2 else two_y * q for n, q in enumerate(f)]
 
 
 def _poly_order(q: Poly, v: Place) -> int:
@@ -382,6 +383,12 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     and [k] for k prime to p is an automorphism of it (AEC, Prop. IV.2.3).
     So for scanned n, (nP . O)_v = v(T(nP)) with T = -x/y is 0 unless
     r_v | n, and then it equals (r_v P . O)_v.
+
+    On the v-minimal model x(nP) = pi_v^(2 k_v) phi_n / psi_n^2, phi_n a
+    polynomial.  The cleared model is integral, so k_v <= 0 at finite places
+    and a pole needs ord_v(psi_n) > k_v: always at k_v < 0; at k_v = 0 when
+    pi_v divides f_n, or 16 y0^4 with n even (``_division_values``' f run mod
+    pi_v).  Only there, and at infinity, are valuations taken.
     """
     p = _require_charp(E)
     _require_n_max(n_max)
@@ -392,8 +399,6 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     # clear denominators: twist by the smallest c making everything polynomial
     need = {}
     for den, w in ((E.a4.den, 4), (E.a6.den, 6), (P.x.den, 2), (P.y.den, 3)):
-        if den.is_one():
-            continue
         for pi, e in places_of_poly(den, K):
             need[pi] = max(need.get(pi, 0), -(-e // w))
     cpoly = Poly.one(K.constants)
@@ -418,9 +423,12 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     special.add(K.infinity())
 
     psi = _division_values(a4.num, a6.num, x0.num, y0.num, n_max + 1)
+    start, G = _ward_start(a4.num, a6.num, x0.num, y0.num)
     torsion_order = None
     iotas = {}
     open_places = {v: twist_exponent(Escan, v) for v in special}
+    residues = {v: ([q % v.pi for q in start], G % v.pi) for v, kv in open_places.items()
+                if kv == 0 and not v.is_infinity}
     for n in range(1, n_max + 1):
         if n % p == 0:
             continue
@@ -430,12 +438,13 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
             continue
         phi = None
         for v, kv in list(open_places.items()):
+            if v in residues:
+                f, Gv = residues[v]
+                _ward(f, Gv, n, lambda q: q % v.pi)
+                if not f[n].is_zero() and (n % 2 or not Gv.is_zero()):
+                    continue  # psi_n is a unit at v, so x(nP) has no pole there
             # ord_v(phi_n) - den_order is ord_v x(nP) on the v-minimal model
             den_order = 2 * _poly_order(psi_n, v) - 2 * kv
-            # phi_n is a polynomial, so at a finite place ord_v(phi_n) >= 0
-            # and x(nP) has no pole there unless den_order > 0
-            if den_order <= 0 and not v.is_infinity:
-                continue
             if phi is None:  # x(nP) = phi_n / psi_n^2
                 phi = x0.num * psi_n * psi_n - psi[n + 1] * psi[n - 1]
             if phi.is_zero():

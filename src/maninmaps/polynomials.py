@@ -182,11 +182,15 @@ class _DensePoly:
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls.const(field, field.zero)
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one,))
+        return cls.const(field, field.one)
+
+    @classmethod
+    def const(cls, field, c):
+        return cls(field, (c,))
 
     @classmethod
     def x(cls, field):
@@ -346,12 +350,16 @@ class Poly(_DensePoly):
 
     def derivative(self):
         if self.content is None:
-            return _DensePoly.derivative(self)
+            p = self.field.p
+            return Poly(self.field, [i * c % p for i, c in enumerate(self.terms) if i])
         return self._new([i * c for i, c in enumerate(self.terms)][1:])
 
     @classmethod
     def const(cls, field, c):
-        return cls(field, (c,))
+        """The constant c; over Q built in canonical form, the sign in the content."""
+        if field.char:
+            return cls(field, (c,))
+        return _qpoly(field, (1,) if c else (), Fraction(c))
 
     @classmethod
     def from_int_coeffs(cls, field, ints):
@@ -396,12 +404,6 @@ class Poly(_DensePoly):
         c = self.content / s
         return self._new(Q, c / other.content), self._new(R, c)
 
-    def divexact(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
     def multiplicity_of(self, other) -> int:
         """Largest k with other**k dividing self (self nonzero, other non-constant)."""
         if self.is_zero():
@@ -439,8 +441,7 @@ class Poly(_DensePoly):
             return Poly.one(self.field)
         if self.field.char == 0:
             return _gcd_qq(a, b)
-        g = _gcd_mod_p(list(a.coeffs), list(b.coeffs), self.field.p)
-        return Poly(self.field, g)
+        return Poly(self.field, _gcd_fp(a.terms, b.terms, self.field.p))
 
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g, the monic gcd; not both zero."""
@@ -591,8 +592,11 @@ def _divmod_mod(a, b, m: int):
 
 def _gcd_mod_p(fa: list, fb: list, p: int):
     """Monic gcd of the reductions mod p, as an int list."""
-    a = _trim([c % p for c in fa])
-    b = _trim([c % p for c in fb])
+    return _gcd_fp(_trim([c % p for c in fa]), _trim([c % p for c in fb]), p)
+
+
+def _gcd_fp(a, b, p: int) -> list:
+    """Monic gcd over F_p of reduced, trimmed coefficient sequences, as an int list."""
     if p < 16:
         return _gcd_bytes(a, b, p)
     while b:

@@ -170,7 +170,7 @@ def pytest_terminal_summary(terminalreporter):
 def compose_xpoly(p, q):
     acc = XPoly.zero(p.field)
     for coeff in reversed(p.coeffs):
-        acc = acc * q + XPoly.const(coeff)
+        acc = acc * q + XPoly.const(coeff.field, coeff)
     return acc
 
 

@@ -141,6 +141,27 @@ def test_exit_two_on_off_curve_point(capsys, tmp_path):
     assert "not on curve" in doc["error"]
 
 
+@pytest.mark.parametrize("text, coords", [
+    ("(0), (0)", ["0", "0"]),
+    ("(t), (0)", ["t", "0"]),
+    ("(0, 0)", ["0", "0"]),
+    ("0, 0", ["0", "0"]),
+    ("(0", None),
+])
+def test_point_pair_parentheses(capsys, tmp_path, text, coords):
+    # the outer parentheses are stripped only when they wrap the whole pair
+    man = tmp_path / "pair.cfg"
+    man.write_text(
+        "[field]\ncharacteristic = 0\n[curve]\nvariable = t\n"
+        "cubic = x^3 - (1+t)*x^2 + t*x\n[points]\nP = %s\n" % text
+    )
+    code, doc = run_json(capsys, "invariants", str(man))
+    if coords is None:
+        assert code == 2 and "two comma-separated coordinates" in doc["error"]
+    else:
+        assert code == 0 and doc["inputs"]["points"] == {"P": coords}
+
+
 def test_exit_two_on_syntax_error(capsys, tmp_path):
     bad = tmp_path / "syntax.cfg"
     bad.write_text(

@@ -24,7 +24,7 @@ from maninmaps import (
     parse_element,
     pullback,
 )
-from maninmaps.funcfield import INF, support_places
+from maninmaps.funcfield import INF, Place, support_places
 
 from conftest import place
 
@@ -224,6 +224,23 @@ def test_support_places_includes_infinity(Ks):
     both = support_places(f, g)
     assert both == {Ks.infinity(), Ks.place(Ks.poly([-1, 1])), Ks.place(Ks.poly([-2, 0, 1]))}
     assert both == support_places(f) | support_places(g)
+
+
+@pytest.mark.parametrize("constants", [PrimeField(5), QQ], ids=["F5", "Q"])
+def test_places_of_poly_trusts_the_factors(monkeypatch, constants):
+    # factor returns its factors monic and irreducible, so the places built
+    # from them are not checked again
+    import maninmaps.funcfield as ff
+
+    calls = []
+    monkeypatch.setattr(ff, "is_irreducible", lambda f: calls.append(f) or True)
+    K = FunctionField(constants, "t")
+    q = K.poly([3, 0, 1]) * K.poly([2, 0, 0, 1]) * K.poly([-1, 1]) ** 2
+    got = ff.places_of_poly(q, K)
+    assert calls == []
+    assert any(v.pi.degree > 1 for v, _ in got)
+    for v, m in got:
+        assert v == Place(K, v.pi) and q.multiplicity_of(v.pi) == m
 
 
 def test_place_rejects_reducible_polynomial(Kt):

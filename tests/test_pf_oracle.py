@@ -75,7 +75,7 @@ def test_low_pole_bound_raises_the_same_not_found():
 def test_isotrivial_raises_the_same_not_found():
     t = K.gen
     x_minus_t = XPoly(K, [-t, K.one])
-    shifted = WeierstrassModel.from_cubic(x_minus_t ** 3 + x_minus_t + XPoly.const(K.one))
+    shifted = WeierstrassModel.from_cubic(x_minus_t ** 3 + x_minus_t + XPoly.const(K, K.one))
     for E in (WeierstrassModel.short(K, K.one, K.one), shifted):
         assert E.is_isotrivial()
         kind, text = assert_matches_oracle(E, 4)

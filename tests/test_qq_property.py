@@ -99,3 +99,15 @@ def test_factor_over_f7_multiplies_back(parts):
     got = factor(f)
     assert all(g.leading == 1 and m > 0 for g, m in got)
     assert product(got, F7) == f.monic()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                 st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))))
+def test_constants_are_built_in_canonical_form(c):
+    # const, zero and one skip the normalising constructor; the result must
+    # be the polynomial that constructor builds, field for field
+    for got, c in ((Poly.const(QQ, c), c), (Poly.zero(QQ), 0), (Poly.one(QQ), 1)):
+        want = Poly(QQ, [Fraction(c)])
+        assert got == want and hash(got) == hash(want)
+        assert got.terms == want.terms and got.content == want.content

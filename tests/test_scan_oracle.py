@@ -9,7 +9,10 @@ ord_v(psi_n) leaves room for a pole; both must report the same contacts and
 torsion order.
 """
 
+import hashlib
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,14 +28,15 @@ from maninmaps import (
     kodaira_spencer_section,
     tangency_scan,
 )
-from maninmaps.cli import Manifest
+from maninmaps.cli import Manifest, run
 from maninmaps.elliptic import curve_places, twist_exponent
 from maninmaps.errors import ConsistencyError, InputError
 from maninmaps.funcfield import ord_at, places_of_poly
-from maninmaps.pdescent import _division_values, _short_with_point
+from maninmaps.pdescent import _short_with_point
 from maninmaps.polynomials import Poly
 
 from conftest import legendre_cover_2, sextic_point_curve
+from scan_oracle import division_values_oracle
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -62,7 +66,8 @@ def reference_contacts(E, P, n_max, watch_places=()):
     """(contacts, iotas, torsion_order) by the per-place loop over all
     multiples: contacts[v][n] = (nP . O)_v at every special place v and
     scanned n with x(nP) defined and nonzero; iotas holds the contacts of
-    order >= 2 found elsewhere, each maximized over n."""
+    order >= 2 found elsewhere, each maximized over n.  The division values
+    come from the textbook recurrence of ``scan_oracle``."""
     p = E.field.char
     E, P = _short_with_point(E, P)
     K = E.field
@@ -74,7 +79,7 @@ def reference_contacts(E, P, n_max, watch_places=()):
     special.update(need)
     special.add(K.infinity())
 
-    psi = _division_values(a4.num, a6.num, x0.num, y0.num, n_max + 1)
+    psi = division_values_oracle(a4.num, a6.num, x0.num, y0.num, n_max + 1)
     torsion_order = None
     iotas = {}
     ns = [n for n in range(1, n_max + 1) if n % p]
@@ -150,9 +155,9 @@ def _manifest_cases():
     return out
 
 
-def _scan_against_oracle(E, P, n_max):
+def _scan_against_oracle(E, P, n_max, watch=None):
     Es, Ps = _short_with_point(E, P)
-    watch = _watch(Es)
+    watch = _watch(Es) if watch is None else watch
     scan = tangency_scan(Es, Ps, n_max, watch_places=watch)
     iotas, torsion_order = reference_tangency_scan(Es, Ps, n_max, watch_places=watch)
     assert scan.iotas == iotas
@@ -218,6 +223,53 @@ def test_scan_matches_oracle_on_the_slowest_descent_jobs(p, g, h, A):
     # the slowest fp-descent jobs of benchmark seeds 2 and 3
     E, P = _short_through_point(p, g, h, A)
     assert _scan_against_oracle(E, P, 30).iotas
+
+
+def test_scan_watching_the_zeros_of_y():
+    # where pi_v | y0, pi_v divides every even psi_n = 2 y0 f_n whatever
+    # f_n is, and 2P meets the zero section there; watched, these places
+    # are k_v = 0 places the scan must not skip at even n
+    E, P = _short_through_point(5, [4, 3], [0, 4, 0, 4], [3])
+    watch = {v for v, _ in places_of_poly(P.y.num, P.y.field)}
+    assert len(watch) == 3
+    scan = _scan_against_oracle(E, P, 20, watch)
+    assert all(scan.iotas.get(v) for v in watch)
+
+
+def test_scan_takes_no_valuation_where_psi_n_is_a_unit(monkeypatch):
+    # at a k_v = 0 place the residue of f_n mod pi_v shows pi_v does not
+    # divide psi_n, and then no multiplicity is taken there
+    E, P = _short_with_point(*_short_through_point(5, [4, 3], [0, 4, 0, 4], [3]))
+    watch = _watch(E)
+    Escan, x0, y0, need = cleared_model(E, P)
+    psi = division_values_oracle(Escan.a4.num, Escan.a6.num, x0.num, y0.num, 31)
+    kv0 = {v.pi for v in set(curve_places(Escan)) | watch | set(need)
+           if twist_exponent(Escan, v) == 0}
+    calls = []
+    orig = Poly.multiplicity_of
+
+    def spy(self, other):
+        calls.append((self, other))
+        return orig(self, other)
+
+    monkeypatch.setattr(Poly, "multiplicity_of", spy)
+    tangency_scan(E, P, 30, watch_places=watch)
+    on_psi = [(q, pi) for q, pi in calls if pi in kv0 and q in psi[2:]]
+    assert len(kv0) >= 5 and on_psi
+    assert all((q % pi).is_zero() for q, pi in on_psi)
+
+
+@pytest.mark.parametrize("name, n_max, digest", [
+    ("charp-3x", 45, "2dd44252e663dee97279fb7d399fd6f22ed8c12d7119d82599bfd945c4ca6734"),
+    ("legendre-f5", 90, "4477cda33581ae21dde9efc27efd1612080b01aaf8e9a4cdc36eb5acb101d7ee"),
+])
+def test_descent_bound_bytes_at_large_n_max(name, n_max, digest):
+    # the CLI's JSON document, recorded before the scan took residues
+    args = SimpleNamespace(n_max=n_max, pole_bound=None, point=None)
+    code, payload = run("descent-bound", str(MANIFESTS / (name + ".cfg")), args)
+    assert code == 0
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_scan_oracle_sees_torsion():

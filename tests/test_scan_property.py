@@ -1,4 +1,4 @@
-"""The tangency scan's early exit on random short curves over F_5 and F_7.
+"""The tangency scan's early exit on random short curves over F_5 to F_13.
 
 ``tangency_scan`` closes each special place at its first contact.  That is
 exact because the multiples nP (p not dividing n) in the kernel of
@@ -6,7 +6,10 @@ reduction are the multiples of the rank of apparition r_v, on all of which
 the contact is the same.  The curves are drawn as the fp-descent benchmark
 draws them, y^2 = x^3 + A x + (h^2 - g^3 - A g) through (g, h), and kept
 when the descent bound's hypothesis holds: semistable reduction with p
-prime to every component group order.  Against the per-n oracle, the scan
+prime to every component group order.  The point scanned is kP for a drawn
+k in {1, 2, 3}: for k > 1 it has t-denominators, and clearing them makes
+k_v < 0 at their places, where the scan takes every valuation.  Against
+the per-n oracle, the scan
 reports the same contacts and torsion order, and the oracle's contacts obey
 the theorem the early exit rests on.
 """
@@ -18,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maninmaps import tangency_scan
-from maninmaps.elliptic import bad_places
+from maninmaps.elliptic import bad_places, scalar_mul
 from maninmaps.errors import HypothesisError
 from maninmaps.pdescent import _short_with_point
 
@@ -35,7 +38,7 @@ def _coeffs(p, deg):
 
 @st.composite
 def screened_curve(draw):
-    p = draw(st.sampled_from([5, 7]))
+    p = draw(st.sampled_from([5, 7, 11, 13]))
     g = draw(_coeffs(p, 1))
     h = draw(_coeffs(p, 3))
     A = draw(_coeffs(p, draw(st.sampled_from([0, 1]))))
@@ -45,6 +48,8 @@ def screened_curve(draw):
         assume(False)
     assume(all(kt.is_semistable and not (kt.m and kt.m % p == 0)
                for _, kt in bad_places(E)))
+    P = scalar_mul(draw(st.sampled_from([1, 1, 2, 3])), P)
+    assume(not P.is_zero)
     return _short_with_point(E, P)
 
 
