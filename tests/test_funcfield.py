@@ -230,13 +230,12 @@ def test_support_places_includes_infinity(Ks):
 def test_places_of_poly_trusts_the_factors(monkeypatch, constants):
     # factor returns its factors monic and irreducible, so the places built
     # from them are not checked again
-    import maninmaps.funcfield as ff
-
     calls = []
-    monkeypatch.setattr(ff, "is_irreducible", lambda f: calls.append(f) or True)
+    monkeypatch.setattr(maninmaps.funcfield, "is_irreducible",
+                        lambda f: calls.append(f) or True)
     K = FunctionField(constants, "t")
     q = K.poly([3, 0, 1]) * K.poly([2, 0, 0, 1]) * K.poly([-1, 1]) ** 2
-    got = ff.places_of_poly(q, K)
+    got = maninmaps.funcfield.places_of_poly(q, K)
     assert calls == []
     assert any(v.pi.degree > 1 for v, _ in got)
     for v, m in got:
