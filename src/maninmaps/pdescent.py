@@ -324,30 +324,42 @@ def _ward_start(a: Poly, b: Poly, x0: Poly, y0: Poly):
     return [Poly.zero(a.field), one, one, psi3, psi4_core.scale(2)], (y0 ** 4).scale(16)
 
 
-def _ward(f: list, G, n_top: int, reduce=None) -> list:
+def _ward(f: list, G, n_top: int, reduce=None, brackets=None) -> list:
     """Extend f_0..f_k (k >= 4) to f_n_top by ``_division_values``'s recurrence
-    in any ring with * and -, passing each new value through reduce."""
+    in any ring with * and -, passing each new value through reduce; each f_k^2
+    and f_k^3 is formed once.  A dict ``brackets`` receives the bracket K_m
+    of each new even n = 2m, f_n = f_m K_m."""
+    powers = {}
+
+    def pw(k, e):  # f_k^e, e in (2, 3)
+        if (k, e) not in powers:
+            powers[k, e] = f[k] * (f[k] if e == 2 else pw(k, 2))
+        return powers[k, e]
+
     for n in range(len(f), n_top + 1):
         m = n // 2
         if n % 2 == 0:
-            val = f[m] * (f[m + 2] * f[m - 1] ** 2 - f[m - 2] * f[m + 1] ** 2)
+            bracket = f[m + 2] * pw(m - 1, 2) - f[m - 2] * pw(m + 1, 2)
+            if brackets is not None:
+                brackets[n] = bracket
+            val = f[m] * bracket
         elif m % 2 == 0:
-            val = G * f[m + 2] * f[m] ** 3 - f[m - 1] * f[m + 1] ** 3
+            val = G * f[m + 2] * pw(m, 3) - f[m - 1] * pw(m + 1, 3)
         else:
-            val = f[m + 2] * f[m] ** 3 - G * f[m - 1] * f[m + 1] ** 3
+            val = f[m + 2] * pw(m, 3) - G * f[m - 1] * pw(m + 1, 3)
         f.append(val if reduce is None else reduce(val))
     return f
 
 
-def _division_values(a: Poly, b: Poly, x0: Poly, y0: Poly, n_top: int) -> list:
+def _division_values(a: Poly, b: Poly, x0: Poly, y0: Poly, n_top: int, brackets=None):
     """Values psi_n(P) in k[t] for 0 <= n <= n_top on y^2 = x^3 + a x + b.
 
     psi_n = f_n for odd n and 2 y0 f_n for even n, with f_0..f_4 = 0, 1, 1,
     psi_3, psi_4/(2 y0) and G = 16 y0^4, makes Ward's identities (Ward 1948;
     Silverman, AEC, Ex. 3.7) division-free: f_2m = f_m (f_m+2 f_m-1^2 -
     f_m-2 f_m+1^2), and f_2m+1 = G f_m+2 f_m^3 - f_m-1 f_m+1^3 for even m,
-    f_m+2 f_m^3 - G f_m-1 f_m+1^3 for odd m."""
-    f, two_y = _ward(*_ward_start(a, b, x0, y0), n_top), y0.scale(2)
+    f_m+2 f_m^3 - G f_m-1 f_m+1^3 for odd m (``brackets`` goes to ``_ward``)."""
+    f, two_y = _ward(*_ward_start(a, b, x0, y0), n_top, brackets=brackets), y0.scale(2)
     return [q if n % 2 else two_y * q for n, q in enumerate(f)]
 
 
@@ -389,6 +401,12 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     and a pole needs ord_v(psi_n) > k_v: always at k_v < 0; at k_v = 0 when
     pi_v divides f_n, or 16 y0^4 with n even (``_division_values``' f run mod
     pi_v).  Only there, and at infinity, are valuations taken.
+
+    Off the special set, the squarefree test at even n = 2m sees only the
+    factor of psi_n that can hold places of rank n: y0 at n = 2, f_4 at 4 and
+    Ward's bracket K_m beyond, as psi_n = psi_m K_m or psi_m 2 y0 K_m.  A place
+    of rank n >= 4 divides neither psi_m nor y0 (whose places have rank 2), so
+    there ord K_m = ord psi_n; one of rank d < n was recorded at d, equally.
     """
     p = _require_charp(E)
     _require_n_max(n_max)
@@ -422,8 +440,9 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     special.update(need)
     special.add(K.infinity())
 
-    psi = _division_values(a4.num, a6.num, x0.num, y0.num, n_max + 1)
     start, G = _ward_start(a4.num, a6.num, x0.num, y0.num)
+    new_part = {2: y0.num, 4: start[4]}  # the factor of psi_n tested at even n
+    psi = _division_values(a4.num, a6.num, x0.num, y0.num, n_max + 1, new_part)
     torsion_order = None
     iotas = {}
     open_places = {v: twist_exponent(Escan, v) for v in special}
@@ -456,7 +475,8 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
                 iotas[v] = -ox // 2
                 del open_places[v]
         if n >= 2:
-            w = psi_n.gcd(psi_n.derivative())
+            part = psi_n if n % 2 else new_part.pop(n)
+            w = part.gcd(part.derivative())
             if not w.is_constant():
                 for q, _ in places_of_poly(w, K):
                     if q not in special and q not in iotas:  # its first value stands

@@ -618,18 +618,28 @@ def _gcd_bytes(a: list, b: list, p: int) -> list:
     reduction step adds (p - c) * x**k * b, which leaves every byte at most
     (p - 1) + (p - 1)**2 < p**2 <= 255, so no byte carries into the next;
     one bytes.translate then reduces every byte mod p and zeroes the
-    leading one.  All per-step work is C-level big-int and bytes work.
+    leading one.  When a is one degree above b and 2 (p - 1)**2 + (p - 1)
+    <= 255 (p <= 11), both quotient digits c x + c0 come off the top two
+    bytes of a and b, and one step adds (-c x - c0) * b: every byte then
+    gains at most two products (p - 1)**2.  All per-step work is C-level
+    big-int and bytes work.
     """
     table = _MOD_TABLES[p]
+    fuse = 2 * (p - 1) ** 2 + (p - 1) <= 255
     A = int.from_bytes(bytes(a), "little")
     B = int.from_bytes(bytes(b), "little")
     while B:
         nb = (B.bit_length() + 7) >> 3
         inv = pow(B >> (8 * nb - 8), -1, p)
+        b1 = (B >> (8 * nb - 16)) & 255 if nb > 1 else 0
         na = (A.bit_length() + 7) >> 3
         while na >= nb:
             c = (A >> (8 * na - 8)) * inv % p
-            A += (p - c) * B << (8 * (na - nb))
+            if fuse and na == nb + 1:  # the whole linear quotient c x + c0
+                c0 = (((A >> (8 * na - 16)) & 255) - c * b1) * inv % p
+                A += ((p - c) * 256 + -c0 % p) * B
+            else:
+                A += (p - c) * B << (8 * (na - nb))
             A = int.from_bytes(A.to_bytes(na, "little").translate(table), "little")
             na = (A.bit_length() + 7) >> 3
         A, B = B, A

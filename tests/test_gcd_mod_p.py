@@ -13,6 +13,7 @@ import pytest
 
 from maninmaps.cli import Manifest
 from maninmaps.pdescent import _division_values, _short_with_point
+import maninmaps.polynomials as polys
 from maninmaps.polynomials import _gcd_mod_p
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -149,3 +150,122 @@ def test_division_value_of_degree_900(psi_44, p):
     # list read over F_17 for the `_divmod_mod` Euclid at this size
     dpsi = [i * c for i, c in enumerate(psi_44)][1:]
     check(psi_44, dpsi, p)
+
+
+# -- the byte kernel's two step shapes
+#
+# Below p = 13 a step where a is one degree above b takes the whole linear
+# quotient at once; every other step, and every step at p = 13, takes one
+# quotient digit.  Remainder sequences built backwards from chosen degrees
+# force either shape.
+
+
+def remainder_chain(rng, p, degrees):
+    """(r_0, r_1, monic gcd) whose Euclid remainders have exactly the given
+    strictly falling degrees, the last one the gcd's."""
+    g = rand_poly(rng, p, degrees[-1], monic=True)
+    prev, cur = [], g  # r_(i+1), r_i, built from the gcd upward
+    for d in reversed(degrees[:-1]):
+        q = rand_poly(rng, p, d - len(cur) + 1)
+        prev, cur = cur, _trim([(x + y) % p for x, y in _zip_pad(mul(q, cur, p), prev)])
+    return cur, prev, g
+
+
+def _zip_pad(a, b):
+    n = max(len(a), len(b))
+    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+
+
+def quotient_degrees(a, b, p):
+    out = []
+    while b:
+        out.append(len(a) - len(b))
+        a, b = b, plain_remainder(a, b, p)
+    return out
+
+
+@pytest.mark.parametrize("p", BYTE_PRIMES)
+def test_remainder_sequences_with_steep_drops(p):
+    rng = random.Random(4000 + p)
+    for degrees in ([40, 37, 30, 29, 25, 24, 3], [60, 50, 48, 40, 39, 0],
+                    [33, 32, 31, 29, 28, 26, 25, 1], [20, 2, 1, 0]):
+        a, b, g = remainder_chain(rng, p, degrees)
+        drops = quotient_degrees(a, b, p)
+        assert drops == [x - y for x, y in zip(degrees, degrees[1:])]
+        assert any(d >= 2 for d in drops) and any(d == 1 for d in drops)
+        assert check(a, b, p) == g
+
+
+@pytest.mark.parametrize("p", BYTE_PRIMES)
+def test_linear_over_a_constant_divisor(p):
+    # the fused step's second digit reads no second byte of a constant b
+    rng = random.Random(5000 + p)
+    for _ in range(20):
+        a = rand_poly(rng, p, 1)
+        assert check(a, [rng.randrange(1, p)], p) == [1]
+        a, b, g = remainder_chain(rng, p, [rng.randrange(3, 30), 1, 0])
+        assert check(a, b, p) == [1] == g
+
+
+@pytest.mark.parametrize("p", BYTE_PRIMES)
+def test_pairs_of_degree_500_to_2000(p):
+    rng = random.Random(6000 + p)
+    for da, db, dg in ((2000, 1999, 40), (1200, 500, 0), (900, 899, 300)):
+        g = rand_poly(rng, p, dg, monic=True)
+        a = mul(g, rand_poly(rng, p, da - dg), p)
+        b = mul(g, rand_poly(rng, p, db - dg), p)
+        got = _gcd_mod_p(a, b, p)
+        assert got == plain_euclid(a, b, p)
+        assert not any(plain_remainder(got, g, p))
+    assert got == sympy_gcd(a, b, p)
+
+
+def euclid_passes(monkeypatch, a, b, p):
+    """(gcd, passes): the byte kernel re-reads its packed remainder with one
+    int.from_bytes per pass, after packing its two operands with two."""
+    calls = []
+
+    class CountingInt(int):
+        @staticmethod
+        def from_bytes(*args):
+            calls.append(None)
+            return int.from_bytes(*args)
+
+    monkeypatch.setattr(polys, "int", CountingInt, raising=False)
+    try:
+        return _gcd_mod_p(a, b, p), len(calls) - 2
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p", BYTE_PRIMES)
+def test_one_pass_per_linear_quotient_below_13(monkeypatch, p):
+    # a normal remainder sequence (every quotient linear) takes one pass per
+    # quotient below p = 13; at p = 13 each quotient digit takes its own
+    rng = random.Random(7000 + p)
+    for top in (12, 30, 61):
+        a, b, g = remainder_chain(rng, p, list(range(top, -1, -1)))
+        got, passes = euclid_passes(monkeypatch, a, b, p)
+        assert got == g == [1]
+        assert passes == top if p < 13 else passes > top
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # without hypothesis the property below is not collected
+    pass
+else:
+    @st.composite
+    def poly_pair(draw):
+        p = draw(st.sampled_from(BYTE_PRIMES))
+        coeffs = st.lists(st.integers(0, p - 1), max_size=60)
+        g = draw(coeffs) + [1]
+        a, b = (mul(g, draw(coeffs) + [draw(st.integers(1, p - 1))], p) for _ in "ab")
+        return p, a, b
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly_pair())
+    def test_byte_euclid_matches_plain_euclid(pair):
+        p, a, b = pair
+        assert _gcd_mod_p(a, b, p) == plain_euclid(a, b, p) == sympy_gcd(a, b, p)

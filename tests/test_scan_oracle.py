@@ -32,7 +32,7 @@ from maninmaps.cli import Manifest, run
 from maninmaps.elliptic import curve_places, twist_exponent
 from maninmaps.errors import ConsistencyError, InputError
 from maninmaps.funcfield import ord_at, places_of_poly
-from maninmaps.pdescent import _short_with_point
+from maninmaps.pdescent import _short_with_point, _ward, _ward_start
 from maninmaps.polynomials import Poly
 
 from conftest import legendre_cover_2, sextic_point_curve
@@ -290,3 +290,36 @@ def test_scan_rejects_empty_range(n_max):
     E, P, _ = legendre_cover_2(PrimeField(5))
     with pytest.raises(InputError):
         tangency_scan(E, P, n_max)
+
+
+@pytest.mark.parametrize("name", ["legendre-f5", "charp-3x"])
+def test_squarefree_test_sees_only_the_new_part_at_even_n(name, monkeypatch):
+    # psi_n = f_n at odd n; at even n = 2m >= 6 the test gets Ward's bracket
+    # K_m = f_n / f_m, of degree deg f_n - deg f_m, and never psi_n itself
+    man = Manifest(str(MANIFESTS / (name + ".cfg")))
+    E, P = _short_with_point(man.model, man.pick_point())
+    Escan, x0, y0, _ = cleared_model(E, P)
+    start, G = _ward_start(Escan.a4.num, Escan.a6.num, x0.num, y0.num)
+    brackets = {}
+    f = _ward(list(start), G, 25, brackets=brackets)
+    tested, gcd = [], Poly.gcd
+
+    def spy(a, b):
+        if not b.is_zero() and b == a.derivative():
+            tested.append(a)
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", spy)
+    tangency_scan(E, P, 24)
+    monkeypatch.undo()
+    p = E.field.char
+    want = [None, None, y0.num, f[3], f[4]] + [
+        f[n] if n % 2 else brackets[n] for n in range(5, 25)]
+    for n in range(2, 25):
+        if n % p == 0:
+            continue
+        assert any(q == want[n] for q in tested), n
+        if n % 2 == 0:
+            assert not any(q == y0.num.scale(2) * f[n] for q in tested), n
+        if n % 2 == 0 and n >= 6:
+            assert want[n].degree == f[n].degree - f[n // 2].degree < f[n].degree
