@@ -14,6 +14,8 @@ whole computation inside fast F_p[t] arithmetic.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .elliptic import (
     CurvePoint,
     KodairaType,
@@ -23,11 +25,11 @@ from .elliptic import (
     curve_places,
     deg_omega,
     kodaira_type,
-    scalar_mul,
     twist_exponent,
 )
 from .errors import ConsistencyError, HypothesisError, InputError
 from .funcfield import (
+    INF,
     FieldElement,
     Place,
     XPoly,
@@ -219,50 +221,55 @@ def reduction_table_report(E: WeierstrassModel) -> list:
 # component groups and the descent divisor
 
 
-def in_identity_component(E: WeierstrassModel, P: CurvePoint, v: Place) -> bool:
-    """Whether P reduces to a smooth point of the v-minimal closed fiber.
+def _node_contact(E: WeierstrassModel, P: CurvePoint, v: Place):
+    """ord_v(x(P) - x_node) on the v-minimal model if P reduces to the node of
+    an I_m fiber (m >= 1), else 0 (an I0 fiber is smooth).
 
-    Valid at semistable places, read off ``kodaira_type``: an I0 fiber is
-    smooth, so every point is on it.  On the v-minimal model x, y, a4, a6
-    pick up pi^(2k), pi^(3k), pi^(4k), pi^(6k), so every test below is an
-    order ord_v + weight k.  A pole of x counts as smooth (the point reduces
-    to the origin); otherwise the unique singular point of an I_m fiber,
-    m >= 1, is the node (-3 b / 2 a, 0) of the reduced cubic x^3 + a x + b,
-    and since 2 and 3 are units, x reduces to it exactly when 2 a x + 3 b
-    vanishes there.
+    On the v-minimal model x, y, a4, a6 pick up pi^(2k), pi^(3k), pi^(4k),
+    pi^(6k), so every test below is an order ord_v + weight k.  A pole of x
+    counts as smooth (the point reduces to the origin); otherwise the node is
+    (x_node, 0) with x_node = -3 b / 2 a on the cubic x^3 + a x + b, a a unit,
+    and 2 a x + 3 b = 2 a (x - x_node).  Where x reduces to x_node, so does
+    y to 0, as x_node is a double root of the reduced cubic.
     """
     if P.is_zero:
-        return True
+        return 0
     E, P = _short_with_point(E, P)
     k = twist_exponent(E, v)
     if ord_at(P.x, v) + 2 * k < 0:
-        return True
+        return 0
     ktype = kodaira_type(E, v)
     if ktype.is_additive:
         raise HypothesisError("additive reduction at %s; component test refused" % v)
     if ktype.is_good:
-        return True
-    on_node = (
-        ord_at(E.a4 * P.x * 2 + E.a6 * 3, v) + 6 * k > 0
-        and ord_at(P.y, v) + 3 * k > 0
-    )
-    return not on_node
+        return 0
+    return max(0, ord_at(E.a4 * P.x * 2 + E.a6 * 3, v) + 6 * k)
 
 
-def component_order(E: WeierstrassModel, P: CurvePoint, v: Place, cap: int) -> int:
-    """Order of P in the component group of the fiber at an I_m place."""
+def in_identity_component(E: WeierstrassModel, P: CurvePoint, v: Place) -> bool:
+    """Whether P reduces to a smooth point of the v-minimal closed fiber (semistable v)."""
+    return _node_contact(E, P, v) == 0
+
+
+def component_order(E: WeierstrassModel, P: CurvePoint, v: Place) -> int:
+    """Order of P in the component group Z/m of the fiber at an I_m place.
+
+    Over the completion the curve is a Tate curve K_v^*/q^Z, ord q = m, and P
+    the class of u with 0 <= ord u = i < m, on component i.  On the Tate model
+    x = u/(1 - u)^2 + (q/u)/(1 - q/u)^2 + (order >= m), with node x = 0: for
+    0 < i < m, ord x = min(i, m - i), or at least m/2 when i = m/2.  Its
+    short form Y^2 = X^3 - (c4/48) X - c6/864 has X = x + 1/12, and the node
+    lift -3 b / 2 a = -c6 / (12 c4) = 1/12 - 62 q + ... differs from the image
+    of x = 0 by a term of order >= m; the v-minimal short model differs from
+    it by a unit scaling.  So d = ``_node_contact`` takes the same value, and
+    as i and m - i have the same order m / gcd(m, i), the order is
+    m / gcd(m, min(d, m // 2)), which is 1 at d = 0.
+    """
     ktype = kodaira_type(E, v)
     if not ktype.is_semistable:
         raise HypothesisError("component order computed only at semistable places")
     m = max(ktype.m, 1)
-    if m > cap:
-        raise HypothesisError(
-            "component order at %s undetermined within n_max = %d" % (v, cap)
-        )
-    for n in sorted(d for d in range(1, m + 1) if m % d == 0):
-        if in_identity_component(E, scalar_mul(n, P), v):
-            return n
-    raise ConsistencyError("component order at %s does not divide m = %d" % (v, m))
+    return m // gcd(m, min(_node_contact(E, P, v), m // 2))
 
 
 class DescentDivisor:
@@ -277,7 +284,7 @@ class DescentDivisor:
         self.total = total
 
 
-def descent_divisor(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) -> DescentDivisor:
+def descent_divisor(E: WeierstrassModel, P: CurvePoint) -> DescentDivisor:
     """D = (p-1) D_0 + p D' for a semistable curve.
 
     D_0 / poles come from the divisor of the twisted differential; D' is
@@ -289,10 +296,10 @@ def descent_divisor(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) -> Desc
     bad = bad_places(E)
     if any(not kt.is_semistable for _, kt in bad):
         raise HypothesisError("descent divisor needs everywhere semistable reduction")
-    return _descent_divisor(E, P, n_max, bad, divisor(kodaira_spencer_section(E)))
+    return _descent_divisor(E, P, bad, divisor(kodaira_spencer_section(E)))
 
 
-def _descent_divisor(E: WeierstrassModel, P: CurvePoint, n_max: int, bad,
+def _descent_divisor(E: WeierstrassModel, P: CurvePoint, bad,
                      lam_div: DivisorReport) -> DescentDivisor:
     """descent_divisor on a short model, given its bad places and the
     divisor of the twisted differential."""
@@ -301,10 +308,8 @@ def _descent_divisor(E: WeierstrassModel, P: CurvePoint, n_max: int, bad,
     poles = lam_div.negative_part()
     p_entries = []
     for v, kt in bad:
-        if kt.m >= 1 and kt.m % p == 0:
-            order = component_order(E, P, v, cap=min(n_max, kt.m))
-            if order % p == 0:
-                p_entries.append((v, 1))
+        if kt.m >= 1 and kt.m % p == 0 and component_order(E, P, v) % p == 0:
+            p_entries.append((v, 1))
     p_part = DivisorReport(p_entries)
     total = zeros.scale(p - 1) + p_part.scale(p)
     return DescentDivisor(zeros, poles, p_part, total)
@@ -363,8 +368,10 @@ def _division_values(a: Poly, b: Poly, x0: Poly, y0: Poly, n_top: int, brackets=
     return [q if n % 2 else two_y * q for n, q in enumerate(f)]
 
 
-def _poly_order(q: Poly, v: Place) -> int:
-    """ord_v of a nonzero polynomial in t: its multiplicity, or -degree at infinity."""
+def _poly_order(q: Poly, v: Place):
+    """ord_v of a polynomial in t: its multiplicity, -degree at infinity, +inf for 0."""
+    if q.is_zero():
+        return INF
     return -q.degree if v.is_infinity else q.multiplicity_of(v.pi)
 
 
@@ -396,11 +403,15 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     So for scanned n, (nP . O)_v = v(T(nP)) with T = -x/y is 0 unless
     r_v | n, and then it equals (r_v P . O)_v.
 
-    On the v-minimal model x(nP) = pi_v^(2 k_v) phi_n / psi_n^2, phi_n a
-    polynomial.  The cleared model is integral, so k_v <= 0 at finite places
-    and a pole needs ord_v(psi_n) > k_v: always at k_v < 0; at k_v = 0 when
-    pi_v divides f_n, or 16 y0^4 with n even (``_division_values``' f run mod
-    pi_v).  Only there, and at infinity, are valuations taken.
+    On the v-minimal model x(nP) = pi_v^(2 k_v) (x0 - psi_n+1 psi_n-1 / psi_n^2)
+    (Silverman, AEC, Ex. 3.7).  At n = 1 this is ord x0 + 2 k_v, and a place
+    where it is negative closes there; at every place left open x(P) is
+    v-integral, so x(nP) has a pole exactly where 2 k_v + ord psi_n+1 +
+    ord psi_n-1 - 2 ord psi_n is negative, and then that is its order.  The
+    cleared model is integral, so k_v <= 0 at finite places and a pole needs
+    ord_v(psi_n) > k_v: always at k_v < 0; at k_v = 0 when pi_v divides f_n,
+    or 16 y0^4 with n even (``_division_values``' f run mod pi_v).  Only there,
+    and at infinity, are valuations taken.
 
     Off the special set, the squarefree test at even n = 2m sees only the
     factor of psi_n that can hold places of rank n: y0 at n = 2, f_4 at 4 and
@@ -455,20 +466,17 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
         if psi_n.is_zero():
             torsion_order = n if torsion_order is None else torsion_order
             continue
-        phi = None
         for v, kv in list(open_places.items()):
             if v in residues:
                 f, Gv = residues[v]
                 _ward(f, Gv, n, lambda q: q % v.pi)
                 if not f[n].is_zero() and (n % 2 or not Gv.is_zero()):
                     continue  # psi_n is a unit at v, so x(nP) has no pole there
-            # ord_v(phi_n) - den_order is ord_v x(nP) on the v-minimal model
-            den_order = 2 * _poly_order(psi_n, v) - 2 * kv
-            if phi is None:  # x(nP) = phi_n / psi_n^2
-                phi = x0.num * psi_n * psi_n - psi[n + 1] * psi[n - 1]
-            if phi.is_zero():
-                break
-            ox = _poly_order(phi, v) - den_order
+            if n == 1:  # ord_v x(P) on the v-minimal model
+                ox = _poly_order(x0.num, v) + 2 * kv
+            else:  # x(P) is v-integral at an open place, so this is ord_v x(nP)
+                ox = (2 * kv + _poly_order(psi[n + 1], v) + _poly_order(psi[n - 1], v)
+                      - 2 * _poly_order(psi_n, v))
             if ox < 0:
                 if ox % 2:
                     raise ConsistencyError("odd pole order of x at %s" % v)
@@ -534,7 +542,7 @@ def descent_bound_report(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) ->
             )
     lam = kodaira_spencer_section(E)
     lam_div = divisor(lam)
-    dd = _descent_divisor(E, P, n_max, bad, lam_div)
+    dd = _descent_divisor(E, P, bad, lam_div)
     D = dd.total
     d = deg_omega(E)
     delta = sum(v.degree for v, _ in bad)

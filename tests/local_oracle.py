@@ -3,11 +3,13 @@
 This is the general mechanism the library used for local data before every
 v-minimal invariant became ord_v + weight * k_v.  It builds the v-minimal
 short model, reduces into the residue field k[t]/(pi) (or k at infinity),
-and reads the Kodaira type and the identity-component test off them.  The
-tests compare the closed forms against it.
+and reads the Kodaira type and the identity-component test off them; the
+component order is the search over scalar multiples the library used before
+it read the order off the node contact.  The tests compare the closed forms
+against it.
 """
 
-from maninmaps import KodairaType, Poly, WeierstrassModel
+from maninmaps import KodairaType, Poly, WeierstrassModel, scalar_mul
 from maninmaps.elliptic import twist_exponent
 from maninmaps.errors import ConsistencyError, HypothesisError, InputError
 from maninmaps.funcfield import ord_at
@@ -125,3 +127,16 @@ def in_identity_component(E: WeierstrassModel, P, v) -> bool:
         raise HypothesisError("additive reduction at %s; component test refused" % v)
     xi = R.mul(R.mul(bbar, R.from_int(-3)), R.inv(R.mul(abar, R.from_int(2))))
     return not (R.eq(R.reduce(x), xi) and R.is_zero(R.reduce(y)))
+
+
+def component_order(E: WeierstrassModel, P, v) -> int:
+    """Order of P in the component group Z/m at an I_m place: the least
+    divisor n of m with nP on the identity component."""
+    ktype = kodaira_type(E, v)
+    if not ktype.is_semistable:
+        raise HypothesisError("component order computed only at semistable places")
+    m = max(ktype.m, 1)
+    for n in (d for d in range(1, m + 1) if m % d == 0):
+        if in_identity_component(E, scalar_mul(n, P), v):
+            return n
+    raise ConsistencyError("component order at %s does not divide m = %d" % (v, m))

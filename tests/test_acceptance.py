@@ -280,7 +280,7 @@ def test_criterion_7_semistable_bound_suite():
         assert rep.ok, (label, [c.name for c in rep.checks if not c.ok])
         # independent re-check of the membership statement
         nu = p_descent_section(E, P)
-        dd = descent_divisor(E, P, 30)
+        dd = descent_divisor(E, P)
         nu_div = divisor(nu)
         for v in set(nu_div.support()) | set(dd.total.support()):
             assert nu_div.ord(v) >= -dd.total.ord(v), (label, str(v))

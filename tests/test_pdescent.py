@@ -241,7 +241,7 @@ def test_nu_degree_identity():
 def test_nu_bounded_by_descent_divisor():
     E, P, _ = legendre_cover_2(PrimeField(5))
     nu = p_descent_section(E, P)
-    dd = descent_divisor(E, P, 30)
+    dd = descent_divisor(E, P)
     nu_div = divisor(nu)
     for v in set(nu_div.support()) | set(dd.total.support()):
         assert nu_div.ord(v) >= -dd.total.ord(v)
@@ -255,7 +255,7 @@ def test_component_order_divides_two_at_i2():
     K = P.x.field
     v = place(K, [2, 1])
     assert kodaira_type(E, v).symbol() == "I2"
-    order = component_order(E, P, v, cap=4)
+    order = component_order(E, P, v)
     assert order in (1, 2)
     assert in_identity_component(E, scalar_mul(order, P), v)
 
@@ -287,12 +287,12 @@ def test_component_test_at_good_places(K5, a4, a6, x, y):
     assert kodaira_type(E, v).symbol() == "I0"
     assert in_identity_component(E, P, v) is True
     assert local_oracle.in_identity_component(E, P, v) is True
-    assert component_order(E, P, v, 10) == 1
+    assert component_order(E, P, v) == 1
 
 
 def test_descent_divisor_no_p_part():
     E, P, _ = legendre_cover_2(PrimeField(5))
-    dd = descent_divisor(E, P, 30)
+    dd = descent_divisor(E, P)
     assert dd.p_part.entries == []
     assert dd.total.entries == dd.zeros.scale(4).entries
 
@@ -302,7 +302,7 @@ def test_descent_divisor_needs_semistable(K5):
     E = WeierstrassModel.short(K5, t, t)
     P = CurvePoint(E, K5.from_int(-1), K5.from_int(2))
     with pytest.raises(HypothesisError):
-        descent_divisor(E, P, 30)
+        descent_divisor(E, P)
 
 
 # -- the tangency scan and the global bound
@@ -381,8 +381,8 @@ def _outcome(fn, *args):
 
 
 def _local_mismatches(E, P, seen):
-    """Compare kodaira_type and in_identity_component(nP), n <= 6 or until
-    nP = O, with the minimal-model oracle at every curve place.
+    """Compare kodaira_type, in_identity_component(nP) and component_order(nP),
+    n <= 6 or until nP = O, with the minimal-model oracle at every curve place.
 
     Returns the mismatches; adds to ``seen`` the cases the comparison met.
     """
@@ -405,6 +405,10 @@ def _local_mismatches(E, P, seen):
             got = _outcome(in_identity_component, E, Q, v)
             if got != _outcome(local_oracle.in_identity_component, E, Q, v):
                 mismatches.append(("in_identity_component", E, n, P, v))
+            if kt.is_semistable and kt.m >= 2:
+                seen.add("component order")
+                if component_order(E, Q, v) != local_oracle.component_order(E, Q, v):
+                    mismatches.append(("component_order", E, n, P, v))
             if got is False:
                 seen.add("on node")
             elif got == "refused" and kt.is_additive:
@@ -444,7 +448,8 @@ def test_local_data_matches_minimal_model_oracle():
     for E, P in _oracle_corpus():
         mismatches += _local_mismatches(E, P, seen)
     assert mismatches == []
-    assert seen == {"finite k > 0", "finite k < 0", "on node", "additive refusal"}
+    assert seen == {"finite k > 0", "finite k < 0", "on node", "additive refusal",
+                    "component order"}
 
 
 def test_local_data_matches_oracle_on_drawn_curves():

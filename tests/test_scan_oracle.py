@@ -3,14 +3,15 @@
 ``reference_tangency_scan`` is the scan as it was first written: for every
 special place it rebuilds x(nP) = phi_n / psi_n^2 for every multiple n and
 takes valuations of fresh field elements, and it takes the maximum over all
-n.  The library stops at each place's first contact, builds phi_n only while
-an open place needs it, and at a finite place takes ord_v(phi_n) only where
-ord_v(psi_n) leaves room for a pole; both must report the same contacts and
+n.  The library stops at each place's first contact, never forms phi_n, and
+reads ord_v x(nP) off the valuations of psi_n-1, psi_n and psi_n+1 only
+where psi_n leaves room for a pole; both must report the same contacts and
 torsion order.
 """
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from maninmaps import (
     kodaira_spencer_section,
     tangency_scan,
 )
+from maninmaps import pdescent
 from maninmaps.cli import Manifest, run
 from maninmaps.elliptic import curve_places, twist_exponent
 from maninmaps.errors import ConsistencyError, InputError
@@ -186,13 +188,16 @@ def test_scan_matches_oracle_where_the_twist_is_negative(p):
     # 2P on the Legendre cover has a pole at s = 0; clearing it overshoots
     # the minimal model there, so kv < 0 at that finite place: x(nP) can
     # have a pole there where psi_n does not vanish, which a scan that
-    # skipped every multiple with ord_v(psi_n) = 0 would miss
+    # skipped every multiple with ord_v(psi_n) = 0 would miss.  That pole
+    # is a contact of Q itself, found at n_max = 1 from x(Q) alone
     E, P, _ = legendre_cover_2(PrimeField(p))
     Q = add(P, P)
     Es, Qs = _short_with_point(E, Q)
     Escan, _, _, need = cleared_model(Es, Qs)
-    assert any(twist_exponent(Escan, v) < 0 for v in need)
+    negative = {v for v in need if twist_exponent(Escan, v) < 0}
+    assert negative
     assert _scan_against_oracle(E, Q, 30).iotas
+    assert negative <= set(_scan_against_oracle(E, Q, 1).iotas)
 
 
 def test_scan_matches_oracle_at_the_top_descent_rung():
@@ -237,26 +242,40 @@ def test_scan_watching_the_zeros_of_y():
 
 
 def test_scan_takes_no_valuation_where_psi_n_is_a_unit(monkeypatch):
-    # at a k_v = 0 place the residue of f_n mod pi_v shows pi_v does not
-    # divide psi_n, and then no multiplicity is taken there
+    # at a k_v = 0 place the residue of f_n mod pi_v shows whether pi_v
+    # divides psi_n; only at such n are valuations taken there, and only of
+    # psi_n-1, psi_n and psi_n+1
     E, P = _short_with_point(*_short_through_point(5, [4, 3], [0, 4, 0, 4], [3]))
     watch = _watch(E)
     Escan, x0, y0, need = cleared_model(E, P)
     psi = division_values_oracle(Escan.a4.num, Escan.a6.num, x0.num, y0.num, 31)
-    kv0 = {v.pi for v in set(curve_places(Escan)) | watch | set(need)
-           if twist_exponent(Escan, v) == 0}
+    kv0 = {v for v in set(curve_places(Escan)) | watch | set(need)
+           if twist_exponent(Escan, v) == 0 and not v.is_infinity}
     calls = []
-    orig = Poly.multiplicity_of
+    orig = pdescent._poly_order
 
-    def spy(self, other):
-        calls.append((self, other))
-        return orig(self, other)
+    def spy(q, v):
+        if v in kv0:
+            calls.append((q, v))
+        return orig(q, v)
 
-    monkeypatch.setattr(Poly, "multiplicity_of", spy)
+    monkeypatch.setattr(pdescent, "_poly_order", spy)
     tangency_scan(E, P, 30, watch_places=watch)
-    on_psi = [(q, pi) for q, pi in calls if pi in kv0 and q in psi[2:]]
-    assert len(kv0) >= 5 and on_psi
-    assert all((q % pi).is_zero() for q, pi in on_psi)
+    assert len(kv0) >= 5 and calls and len(calls) % 3 == 0
+    for k in range(0, len(calls), 3):
+        (v,) = {v for _, v in calls[k:k + 3]}
+        triple = Counter(q for q, _ in calls[k:k + 3])
+        assert any(triple == Counter(psi[n - 1:n + 2]) and (psi[n] % v.pi).is_zero()
+                   for n in range(2, 31) if n % 5)
+
+
+@pytest.mark.parametrize("place", ["finite", "infinity"])
+def test_poly_order_of_zero_is_infinite(place):
+    # a torsion neighbour psi_n+-1 = 0 gives x(nP) = x(P), never a pole
+    K = FunctionField(PrimeField(5), "t")
+    v = K.infinity() if place == "infinity" else places_of_poly(K.poly([1, 1]), K)[0][0]
+    assert pdescent._poly_order(Poly.zero(K.constants), v) == float("inf")
+    assert pdescent._poly_order(K.poly([1, 1]), v) == (-1 if place == "infinity" else 1)
 
 
 @pytest.mark.parametrize("name, n_max, digest", [
