@@ -422,12 +422,9 @@ def run(command: str, manifest_path: str, args) -> tuple:
     except (HypothesisError, NotFoundError) as exc:
         payload["error"] = str(exc)
         return 1, payload
-    except ConsistencyError as exc:
+    except (ConsistencyError, ZeroDivisionError) as exc:  # a genuine pole raises earlier
         payload["error"] = str(exc)
         return 3, payload
-    except ZeroDivisionError as exc:
-        payload["error"] = "division by zero in the computation: %s" % exc
-        return 1, payload
     if any(not c["pass"] for c in payload["checks"]):
         return 1, payload
     return 0, payload

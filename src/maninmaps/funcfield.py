@@ -14,14 +14,14 @@ and the expression parser used by the CLI.  ``XPoly.cleared`` writes an
 x-polynomial as numerators in k[t][x] over one denominator in k[t]; the gcd
 in x is a primitive remainder sequence there, with no field element built.
 
-Each tower has one body.  ``XPoly`` takes its structure and its ring
-operations (+, -, negation, ``scale``, ``derivative`` in x, powers) from
-``polynomials._DensePoly``, as ``Poly`` does, and keeps only its product,
-division and gcd; the private base ``_Quotient`` holds the canonical-fraction
-arithmetic (coprime with a monic denominator, equality, + - * / ** by
-Henrici's gcd splitting) of both ``FieldElement`` over k[t] and ``RatX`` over
-K[x].  The constant fields supply ``from_int``, ``inv`` and ``div``;
-``FieldElement`` reaches them only through ``Poly`` and ``div`` in
+Each tower has one body.  ``XPoly`` takes its structure, its ring operations
+(+, -, negation, ``scale``, ``derivative`` in x, powers) and ``cofactors``
+from ``polynomials._DensePoly``, as ``Poly`` does, and keeps only its
+product, division and gcd; the private base ``_Quotient`` holds the
+canonical-fraction arithmetic (coprime with a monic denominator, equality,
++ - * / ** by Henrici's gcd splitting) of both ``FieldElement`` over k[t] and
+``RatX`` over K[x].  The constant fields supply ``from_int``, ``inv`` and
+``div``; ``FieldElement`` reaches them only through ``Poly`` and ``div`` in
 ``evaluate``.
 """
 
@@ -101,13 +101,14 @@ class _Quotient:
     """num/den in canonical form: coprime, with a monic denominator, and 1 for 0.
 
     The arithmetic ``FieldElement`` (over k[t]) and ``RatX`` (over K[x])
-    share.  The polynomials supply ``gcd``, ``one`` and their coefficient
-    domain ``field``, whose ``one`` and ``inv`` make a denominator monic;
-    canonical forms make structural equality mathematical equality.  The
-    constructor normalises outside input with a full gcd.  The arithmetic
-    takes canonical operands to a canonical result through ``_make``, with
-    Henrici's gcd splitting (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), which
-    takes a gcd only where a common factor can remain:
+    share.  The polynomials supply ``cofactors`` (the monic gcd and both
+    quotients by it), ``one`` and their coefficient domain ``field``, whose
+    ``one`` and ``inv`` make a denominator monic; canonical forms make
+    structural equality mathematical equality.  The constructor normalises
+    outside input with a full gcd.  The arithmetic takes canonical operands
+    to a canonical result through ``_make``, with Henrici's gcd splitting
+    (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), which takes a gcd only where
+    a common factor can remain:
 
     - a/b * c/d = (a/g1 * c/g2) / (b/g2 * d/g1), g1 = gcd(a, d), g2 = gcd(c, b);
     - a/b + c/d needs no gcd when b or d is 1; otherwise, with g = gcd(b, d)
@@ -125,16 +126,10 @@ class _Quotient:
         if den is None or num.is_zero():
             den = num.one(num.field)
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            k = den.field
-            lc = den.leading
-            if lc != k.one:
-                inv = k.inv(lc)
-                num = num.scale(inv)
-                den = den.scale(inv)
+            _, num, den = num.cofactors(den)
+            if den.leading != den.field.one:
+                inv = den.field.inv(den.leading)
+                num, den = num.scale(inv), den.scale(inv)
         self.field = field
         self.num = num
         self.den = den
@@ -173,14 +168,11 @@ class _Quotient:
             return self._make(a * d + c, d)
         if d.is_one():
             return self._make(a + c * b, b)
-        g = b.gcd(d)
-        if g.degree == 0:
-            return self._make(a * d + c * b, b * d)
-        b, d = b // g, d // g
+        g, b, d = b.cofactors(d)
         t = a * d + c * b
-        g2 = t.gcd(g)
-        if g2.degree > 0:
-            t, g = t // g2, g // g2
+        if g.degree == 0:
+            return self._make(t, b * d)
+        _, t, g = t.cofactors(g)
         return self._make(t, b * d * g)
 
     def __sub__(self, other):
@@ -193,13 +185,9 @@ class _Quotient:
         other = self._coerce(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if not d.is_one():
-            g1 = a.gcd(d)
-            if g1.degree > 0:
-                a, d = a // g1, d // g1
+            _, a, d = a.cofactors(d)
         if not b.is_one():
-            g2 = c.gcd(b)
-            if g2.degree > 0:
-                c, b = c // g2, b // g2
+            _, c, b = c.cofactors(b)
         return self._make(a * c, b * d)
 
     def __truediv__(self, other):
@@ -256,13 +244,8 @@ class FieldElement(_Quotient):
         n, d = self.num, self.den
         if d.is_one():
             return self._make(n.derivative(), d)
-        dd = d.derivative()
-        g = d.gcd(dd)
-        e = d // g
-        m = n.derivative() * e - n * (dd // g)
-        g2 = m.gcd(g)
-        if g2.degree > 0:
-            m, g = m // g2, g // g2
+        g, e, h = d.cofactors(d.derivative())
+        _, m, g = (n.derivative() * e - n * h).cofactors(g)
         return self._make(m, g * e * e)
 
     def evaluate(self, point):
@@ -552,7 +535,7 @@ class XPoly(_DensePoly):
         """(P, den) with self = P/den, P over k[t] and den the monic lcm of denominators."""
         den = Poly.one(self.field.constants)
         for c in self.coeffs:
-            den = den * (c.den // den.gcd(c.den))
+            den = den * den.cofactors(c.den)[2]
         nums = [c.num if c.den == den else c.num * (den // c.den) for c in self.coeffs]
         return XPoly(_PolyRing(self.field.constants), nums), den
 

@@ -201,7 +201,7 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
     B, C = (ld - le) * A, K.from_fraction(-1, 2)
     lcm = A.den
     for g in (B.den, C.den):
-        lcm = lcm * (g // lcm.gcd(g))
+        lcm = lcm * lcm.cofactors(g)[2]
     A, B, C = (e * FieldElement(K, lcm) for e in (A, B, C))
     unit = FieldElement(K, A.num.gcd(B.num).gcd(C.num))
     if A.num.leading < 0:

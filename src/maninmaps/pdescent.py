@@ -479,7 +479,7 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
                       - 2 * _poly_order(psi_n, v))
             if ox < 0:
                 if ox % 2:
-                    raise ConsistencyError("odd pole order of x at %s" % v)
+                    raise ConsistencyError("odd pole order of x(%dP) at %s" % (n, v))
                 iotas[v] = -ox // 2
                 del open_places[v]
         if n >= 2:

@@ -27,14 +27,16 @@ p < 16, where a Euclid step cannot carry between bytes (every byte stays
 below p^2 <= 255), so each step is one big-integer update and one
 ``bytes.translate``; the multiplicity of a monic linear factor is a Horner
 loop.  Over Q one exact division kernel over Z, ``_divmod_int_poly``, carries
-division (pseudo-division: the dividend times lc(divisor)^(deg difference +
-1) divides exactly), the multiplicity and the candidate tests of the gcd and
-of recombination, all on the primitive terms.  The gcd over Q combines gcds
-modulo primes below 2^31 by CRT.  Factorization is complete over F_p
-(squarefree split, distinct-degree, equal-degree) and over Q uses
-squarefree decomposition, a modular factorization lifted by splitting off
-one factor at a time (Hensel) and capped subset recombination (Zassenhaus),
-with modular degree patterns used to certify irreducibility.
+``divmod`` (pseudo-division: the dividend times lc(divisor)^(deg difference
++ 1) divides exactly), the multiplicity and the candidate tests of the gcd
+and of recombination, all on the primitive terms.  The gcd over Q combines
+gcds modulo primes below 2^31 by CRT, and ``cofactors`` returns it with the
+quotients of its candidate test, so no division by a gcd pseudo-divides.
+Factorization is complete over F_p (squarefree split, distinct-degree,
+equal-degree) and over Q uses squarefree decomposition, a modular
+factorization lifted by splitting off one factor at a time (Hensel) and
+capped subset recombination (Zassenhaus), with modular degree patterns used
+to certify irreducibility.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ class _DensePoly:
     ``inv``, and ``content`` is None (read as 1) except for ``Poly`` over Q.
     The ring operations compute on the terms and build results through
     ``_new``, which a subclass overrides to reduce them; subclasses supply
-    ``__init__``, ``__mul__``, ``__divmod__`` and ``to_str``.
+    ``__init__``, ``__mul__``, ``__divmod__``, ``gcd`` and ``to_str``.
     """
 
     __slots__ = ("field", "terms")
@@ -271,6 +273,13 @@ class _DensePoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         return _power(self, n) if n else self.one(self.field)
+
+    def cofactors(self, other):
+        """(g, self // g, other // g) for g the monic gcd; no division when g is 1."""
+        g = self.gcd(other)
+        if g.is_constant():
+            return g, self, other
+        return g, self // g, other // g
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -432,16 +441,30 @@ class Poly(_DensePoly):
 
     def gcd(self, other):
         """Monic gcd."""
-        a, b = self, other
-        if a.is_zero():
-            return b.monic()
-        if b.is_zero():
-            return a.monic()
-        if a.is_constant() or b.is_constant():
+        if self.content is not None:
+            return self.cofactors(other)[0]
+        a, b = self.terms, other.terms
+        if len(a) == 1 or len(b) == 1:
             return Poly.one(self.field)
-        if self.field.char == 0:
-            return _gcd_qq(a, b)
-        return Poly(self.field, _gcd_fp(a.terms, b.terms, self.field.p))
+        return Poly(self.field, _gcd_fp(a, b, self.field.p))
+
+    def cofactors(self, other):
+        """(g, self // g, other // g); over Q from ``_gcd_qq``'s quotients A/G and
+        B/G of the primitive parts, as self/g = content(self) lc(G) A/G (Gauss)."""
+        if self.content is None:
+            return _DensePoly.cofactors(self, other)
+        A, B = self.terms, other.terms
+        if len(A) > 1 and len(B) > 1:
+            G, qa, qb = _gcd_qq(A, B)
+        elif A and B:
+            G, qa, qb = (1,), A, B
+        elif A or B:  # gcd(0, b) is b up to a unit
+            G, qa, qb = A or B, A and (1,), B and (1,)
+        else:
+            return self, self, other
+        f, lc = self.field, G[-1]
+        return (_qpoly(f, G, Fraction(1, lc)), _qpoly(f, qa, self.content * lc),
+                _qpoly(f, qb, other.content * lc))
 
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g, the monic gcd; not both zero."""
@@ -698,17 +721,16 @@ def _gcd_primes():
         yield _GCD_PRIMES[i]
 
 
-def _gcd_qq(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q by a small-prime modular algorithm.
+def _gcd_qq(fa: list, fb: list) -> tuple:
+    """(G, fa/G, fb/G): the primitive gcd of primitive lists, by a modular algorithm.
 
     Images of lc_g * (monic gcd mod p) are combined by CRT and the centered
-    lift is accepted once it divides both inputs; degrees mod an unlucky
-    prime can only be too high, so tracking the minimum keeps this sound.
-    Unlucky primes divide a nonzero resultant, so with primes drawn for as
-    long as needed the CRT modulus passes the coefficient bound and the
-    loop ends.
+    lift G is accepted once it divides both inputs, with those quotients;
+    degrees mod an unlucky prime can only be too high, so tracking the
+    minimum keeps this sound.  Unlucky primes divide a nonzero resultant, so
+    with primes drawn for as long as needed the CRT modulus passes the
+    coefficient bound and the loop ends.
     """
-    fa, fb = a.terms, b.terms
     lcg = math.gcd(fa[-1], fb[-1])
     best_deg = None
     crt_mod = 1
@@ -719,7 +741,7 @@ def _gcd_qq(a: Poly, b: Poly) -> Poly:
         gp = _gcd_mod_p(fa, fb, p)
         d = len(gp) - 1
         if d == 0:
-            return Poly.one(a.field)
+            return (1,), fa, fb
         if best_deg is None or d < best_deg:
             best_deg = d
             crt_mod = p
@@ -744,7 +766,7 @@ def _gcd_qq(a: Poly, b: Poly) -> Poly:
         qb, rb = _divmod_int_poly(fb, cand)
         if qb is None or any(rb):
             continue
-        return _qpoly(a.field, cand, Fraction(1, cand[-1]))
+        return cand, qa, qb
 
 
 # ---------------------------------------------------------------------------
@@ -774,16 +796,12 @@ def _sqfree(f: Poly) -> list:
         for g, m in _sqfree(_pth_root(f)):
             out[m * p] = g
         return [(g, m) for m, g in sorted(out.items())]
-    c = f.gcd(df)
-    w = f // c
+    c, w, _ = f.cofactors(df)
     i = 1
     while not w.is_constant():
-        y = w.gcd(c)
-        z = w // y
+        w, z, c = w.cofactors(c)
         if not z.is_constant():
             out[i] = z
-        w = y
-        c = c // y
         i += 1
     if not c.is_constant():
         for g, m in _sqfree(_pth_root(c)):

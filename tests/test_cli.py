@@ -337,3 +337,17 @@ def test_exit_three_on_internal_inconsistency(capsys, monkeypatch):
     code, doc = run_json(capsys, "invariants", str(MANIFESTS / "legendre.cfg"))
     assert code == 3
     assert "12-divisible" in doc["error"]
+
+
+def test_exit_three_on_escaping_zero_division(capsys, monkeypatch):
+    # every legitimate pole becomes a ParseError or a HypothesisError first,
+    # so a ZeroDivisionError that reaches run is an internal failure
+    from maninmaps import cli
+
+    def broken(man, args):
+        raise ZeroDivisionError("zero denominator")
+
+    monkeypatch.setitem(cli._HANDLERS, "invariants", broken)
+    code, doc = run_json(capsys, "invariants", str(MANIFESTS / "legendre.cfg"))
+    assert code == 3
+    assert doc["error"] == "zero denominator"

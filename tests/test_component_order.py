@@ -25,6 +25,7 @@ from maninmaps import (
     component_order,
     descent_divisor,
     kodaira_type,
+    scalar_mul,
 )
 from maninmaps.polynomials import Poly
 
@@ -86,10 +87,10 @@ def test_component_order_on_every_component(F):
         assert local_oracle.in_identity_component(E, P, v) is False
 
 
-def _oracle_affordable(F, m, order):
+def _oracle_affordable(F, order):
     # the search forms scalar multiples up to the order; over Q their
-    # coefficients grow too fast past small m
-    return order <= (12 if F.char else 4) and m <= (20 if F.char else 8)
+    # coefficients grow fast, and order 10 takes half a minute
+    return order <= (12 if F.char else 8)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -98,10 +99,10 @@ def test_component_order_matches_the_search(F):
     for m, i in _cases(range(2, 21)):
         E, P, v, c = built_fiber(F, m, i)
         order = m // gcd(m, c)
-        if _oracle_affordable(F, m, order):
+        if _oracle_affordable(F, order):
             assert local_oracle.component_order(E, P, v) == component_order(E, P, v), (m, i)
             checked += 1
-    assert checked >= (100 if F.char else 20)
+    assert checked >= (100 if F.char else 107)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -118,6 +119,15 @@ def test_component_order_of_multiples(F):
             assert component_order(E, Q, v) == want, (m, i, n)
             if want <= 3 and m <= 8:
                 assert local_oracle.component_order(E, Q, v) == want, (m, i, n)
+
+
+def test_fifth_multiple_over_q_on_an_i20_fiber():
+    # x(4P) has degree 179 and x(5P) degree 285: the canonical forms of the
+    # group law must not scale their exact divisions by lc^(deg difference)
+    E, P, v, c = built_fiber(QQ, 20, 1)
+    Q = add(scalar_mul(4, P), P)
+    assert Q.y * Q.y == E.cubic().evaluate(Q.x)
+    assert component_order(E, Q, v) == 20 // gcd(20, 5 * c)
 
 
 @pytest.mark.parametrize("i, order", [(5, 7), (7, 5)])

@@ -7,7 +7,9 @@ non-monic ``b`` coprime to ``g``; ``Poly.gcd`` over Q (modular gcds combined
 by CRT) must equal sympy's monic gcd on drawn ``g*u`` and ``g*w``;
 ``factor`` over Q (modular factors lifted by Hensel splits and recombined
 by subsets) must equal ``factor_list``; and over Q and F_7 the factors must
-multiply back to the monic input.
+multiply back to the monic input.  ``cofactors`` (the gcd with both
+quotients, read off the modular gcd's acceptance test over Q) must equal
+sympy's ``cofactors`` over Q, F_5, F_13 and F_(2^31 - 1).
 """
 
 from fractions import Fraction
@@ -111,3 +113,50 @@ def test_constants_are_built_in_canonical_form(c):
         want = Poly(QQ, [Fraction(c)])
         assert got == want and hash(got) == hash(want)
         assert got.terms == want.terms and got.content == want.content
+
+
+COFACTOR_FIELDS = [QQ, PrimeField(5), PrimeField(13), PrimeField(2 ** 31 - 1)]
+
+
+def field_poly(F, cs):
+    """cs (Fractions with denominators prime to p) as a polynomial over F."""
+    if not F.char:
+        return Poly(F, cs)
+    return Poly(F, [F.div(F.from_int(c.numerator), F.from_int(c.denominator)) for c in cs])
+
+
+def sympy_cofactors(F, a, b):
+    dom = {"modulus": F.char} if F.char else {"domain": "QQ"}
+    hs = sympy.Poly(to_sympy(a), X, **dom).cofactors(sympy.Poly(to_sympy(b), X, **dom))
+    return tuple(field_poly(F, [Fraction(int(c.p), int(c.q)) for c in reversed(h.all_coeffs())])
+                 for h in hs)
+
+
+def check_cofactors(F, a, b):
+    g, qa, qb = got = a.cofactors(b)
+    assert got == sympy_cofactors(F, a, b)
+    assert g * qa == a and g * qb == b
+    if not (a.is_zero() and b.is_zero()):
+        assert g.leading == F.one
+        assert qa.gcd(qb).is_one()
+    return got
+
+
+@pytest.mark.parametrize("F", COFACTOR_FIELDS, ids=str)
+@pytest.mark.parametrize("shape", ["zero", "constant", "coprime", "shared"])
+def test_cofactors_on_each_shape(F, shape):
+    r = lambda *cs: field_poly(F, [Fraction(c) for c in cs])
+    g = r(3, -2, 5) if shape == "shared" else r(1)
+    u = {"zero": r(), "constant": r(-4)}.get(shape, r(1, 1, 2))
+    w = r(-1, 0, 0, 7)
+    for a, b in ((g * u, g * w), (g * w, g * u)):
+        check_cofactors(F, a, b)
+    check_cofactors(F, r(), r())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(COFACTOR_FIELDS),
+       *[st.lists(rational, max_size=n) for n in (3, 4, 4)])
+def test_cofactors_match_sympy(F, g, u, w):
+    g, u, w = (field_poly(F, cs) for cs in (g, u, w))
+    check_cofactors(F, g * u, g * w)

@@ -114,7 +114,7 @@ def reference_contacts(E, P, n_max, watch_places=()):
                 + 2 * kv
             )
             if ox < 0 and ox % 2:
-                raise ConsistencyError("odd pole order of x at %s" % v)
+                raise ConsistencyError("odd pole order of x(%dP) at %s" % (n, v))
             by_n[n] = max(0, -ox // 2)
     return contacts, iotas, torsion_order
 
