@@ -39,8 +39,8 @@ class FunctionField:
     """K = k(var) for k = Q or F_p."""
 
     def __init__(self, constants, var: str):
-        if not var.isidentifier():
-            raise InputError("bad variable name %r" % var)
+        if not var.isidentifier() or var in ("x", "y"):  # x, y are the curve's coordinates
+            raise InputError("bad variable name %r: need an identifier other than x, y" % var)
         self.constants = constants
         self.var = var
 

@@ -1,12 +1,13 @@
 """Characteristic-p descent machinery.
 
 Over K = F_p(t), p > 3, a short model y^2 = f(x) carries: the coefficient
-split f^((p-1)/2) = x^p M(x) + A x^(p-1) + L(x) whose x^(p-1) coefficient A
-is the Hasse invariant; a twisted differential measuring the failure of
-Kodaira-Spencer to be an isomorphism, 3 delta/(2 Delta) in the Gauss-Manin
-pair of ``elliptic._gauss_manin``; an explicit additive map E(K)/pE(K) -> K
-given by a rational formula in the coordinates, their t-derivatives and
-that pair; and the section it induces, whose pole divisor is controlled at
+split f^((p-1)/2) = x^p M(x) + A x^(p-1) + (x-degree < p-1), read off a
+power recurrence, whose x^(p-1) coefficient A is the Hasse invariant; a
+twisted differential measuring the failure of Kodaira-Spencer to be an
+isomorphism, 3 delta/(2 Delta) in the Gauss-Manin pair of
+``elliptic._gauss_manin``; an explicit additive map E(K)/pE(K) -> K given
+by a rational formula in the coordinates, their t-derivatives and that
+pair; and the section it induces, whose pole divisor is controlled at
 semistable places.  Tangencies of multiples of a point with the zero
 section are scanned through division-polynomial values, which keeps the
 whole computation inside fast F_p[t] arithmetic.
@@ -63,18 +64,17 @@ def _short_with_point(E: WeierstrassModel, P: CurvePoint = None):
 
 
 class HasseData:
-    """The split f^((p-1)/2) = x^p M(x) + A x^(p-1) + L(x)."""
+    """A and M of the split f^((p-1)/2) = x^p M(x) + A x^(p-1) + (x-degree < p-1)."""
 
-    __slots__ = ("A", "M", "L", "model")
+    __slots__ = ("A", "M", "model")
 
-    def __init__(self, A: FieldElement, M: XPoly, L: XPoly, model: WeierstrassModel):
+    def __init__(self, A: FieldElement, M: XPoly, model: WeierstrassModel):
         self.A = A
         self.M = M
-        self.L = L
         self.model = model
 
     def __str__(self):
-        return "A = %s, M = %s, L = %s" % (self.A, self.M, self.L)
+        return "A = %s, M = %s" % (self.A, self.M)
 
     def section(self) -> GradedSection:
         """The Hasse invariant as a weight p-1 section."""
@@ -82,28 +82,22 @@ class HasseData:
 
 
 def hasse_data(E: WeierstrassModel) -> HasseData:
-    """Split f^((p-1)/2) by x-degree; the defining identity is re-checked.
+    """A and M by J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7).
 
-    The power is taken on the cleared cubic F/den in k[t][x] and each
-    coefficient divided once by den^((p-1)/2), so no rational function is
-    normalised inside the product.
+    With e = (p-1)/2, the reversed cubic f~(X) = X^3 f(1/X) = 1 + a4 X^2 + a6 X^3
+    and g = f~^e, the x^(3e-k) coefficient of f^e is g_k.  The X^(k-1)
+    coefficient of f~ g' = e f~' g is k g_k = sum_{i=2,3} ((e+1) i - k) f~_i g_{k-i},
+    with g_0 = 1.  So A = g_e and M_j = g_{e-1-j} (deg M = (p-3)/2), and
+    as k <= e < p no step divides by p.
     """
     p = _require_charp(E)
     E, _ = _short_with_point(E)
-    K = E.field
-    F, den = E.cubic().cleared()
-    e = (p - 1) // 2
-    den_e = den ** e
-    fpow = XPoly(K, [FieldElement(K, c, den_e) for c in (F ** e).coeffs])
-    M = XPoly(K, fpow.coeffs[p:])
-    A = fpow[p - 1]
-    L = XPoly(K, fpow.coeffs[: p - 1])
-    rebuilt = XPoly(K, (K.zero,) * p + M.coeffs) + XPoly(K, (K.zero,) * (p - 1) + (A,)) + L
-    if rebuilt != fpow:
-        raise ConsistencyError("Hasse split does not rebuild f^((p-1)/2)")
-    if M.degree > p - 3:
-        raise ConsistencyError("M has x-degree %d > p - 3" % M.degree)
-    return HasseData(A, M, L, E)
+    K, e = E.field, (p - 1) // 2
+    g = [K.one]
+    for k in range(1, e + 1):
+        terms = (f * g[k - i] * ((e + 1) * i - k) for i, f in ((2, E.a4), (3, E.a6)) if i <= k)
+        g.append(sum(terms, K.zero) / k)
+    return HasseData(g[e], XPoly(K, g[e - 1 :: -1]), E)
 
 
 def hasse_invariant_section(E: WeierstrassModel) -> GradedSection:

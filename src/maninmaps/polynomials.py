@@ -55,7 +55,10 @@ from .errors import ConsistencyError, InputError, NotFoundError
 # ---------------------------------------------------------------------------
 # integer helpers
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base in _SMALL_PRIMES
+# (Sorenson and Webster 2015): is_prime is exact below it
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -68,8 +71,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # deterministic Miller-Rabin for n < 3.3e24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:  # Miller-Rabin, deterministic for n < _PRIME_BOUND
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -121,6 +123,8 @@ class PrimeField:
     one = 1
 
     def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
+            raise InputError("characteristic must be below %d, got %d" % (_PRIME_BOUND, p))
         if not is_prime(p):
             raise InputError("%d is not prime" % p)
         if p <= 3:

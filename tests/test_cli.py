@@ -351,3 +351,27 @@ def test_exit_three_on_escaping_zero_division(capsys, monkeypatch):
     code, doc = run_json(capsys, "invariants", str(MANIFESTS / "legendre.cfg"))
     assert code == 3
     assert doc["error"] == "zero denominator"
+
+
+@pytest.mark.parametrize("var", ["x", "y"])
+def test_curve_coordinate_as_base_variable_exits_two(capsys, tmp_path, var):
+    man = tmp_path / "var.cfg"
+    man.write_text(
+        "[field]\ncharacteristic = 0\n[curve]\nvariable = %s\n"
+        "cubic = x^3 - (1+%s)*x^2 + %s*x\n" % (var, var, var)
+    )
+    code, doc = run_json(capsys, "find-pf", str(man))
+    assert code == 2
+    assert "error" in doc
+
+
+def test_pseudoprime_characteristic_exits_two(capsys, tmp_path):
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
+    man = tmp_path / "psi12.cfg"
+    man.write_text(
+        "[field]\ncharacteristic = 318665857834031151167461\n[curve]\nvariable = t\n"
+        "cubic = x^3 - (1+t)*x^2 + t*x\n"
+    )
+    code, doc = run_json(capsys, "invariants", str(man))
+    assert code == 2
+    assert "error" in doc

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from maninmaps import (
+    CoverMap,
     CurvePoint,
     FunctionField,
     HypothesisError,
@@ -33,8 +34,10 @@ from maninmaps import (
 from maninmaps.cli import Manifest
 from maninmaps.elliptic import curve_places, twist_exponent
 from maninmaps.pdescent import _short_with_point, _table_expectation
+from maninmaps.polynomials import _DensePoly
 
 import local_oracle
+import twisted_oracle
 from conftest import (
     legendre,
     legendre_cover_2,
@@ -60,8 +63,6 @@ def test_hasse_split_f5_example(K5):
     hd = hasse_data(E)
     assert hd.A == 2 * t
     assert hd.M == XPoly(K5, [K5.zero, K5.one])
-    expected_L = XPoly(K5, [t ** 2, 2 * t ** 2, t ** 2, 2 * t])
-    assert hd.L == expected_L
 
 
 def test_hasse_supersingular_constant(K5):
@@ -76,20 +77,48 @@ def test_hasse_rejects_char_zero():
 
 
 def test_hasse_reexpansion_random_models():
+    # (A, M) against the power f^((p-1)/2) expanded in full, 20 draws per p
     rng = random.Random(17)
     count = 0
-    for p in (5, 7, 11):
+    primes = (5, 7, 11, 13, 17)
+    for p in primes:
         K = FunctionField(PrimeField(p), "t")
-        while count % 20 or count // 20 < (5, 7, 11).index(p) + 1:
+        while count % 20 or count // 20 < primes.index(p) + 1:
             a4 = K.poly([rng.randrange(p) for _ in range(rng.randrange(1, 4))])
             a6 = K.poly([rng.randrange(p) for _ in range(rng.randrange(1, 4))])
             try:
                 E = WeierstrassModel.short(K, K.element(a4), K.element(a6))
             except HypothesisError:
                 continue
-            hasse_data(E)  # raises on any re-expansion mismatch
+            hd = hasse_data(E)
+            assert (hd.A, hd.M) == twisted_oracle.hasse_split(E), (p, E.a4, E.a6)
             count += 1
-    assert count >= 60
+    assert count == 100
+
+
+@pytest.mark.parametrize("p", [101, 211])
+def test_hasse_split_matches_the_power_on_legendre_covers(p):
+    E, _, _ = legendre_cover_2(PrimeField(p))
+    hd = hasse_data(E)
+    assert hd.M.degree == (p - 3) // 2
+    assert (hd.A, hd.M) == twisted_oracle.hasse_split(E)
+
+
+def test_hasse_data_forms_no_power_in_x(monkeypatch):
+    E, _, _ = legendre_cover_2(PrimeField(13))
+    E.depress()  # kept on the model; depressing takes powers of c2
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(XPoly, "__mul__", spy("XPoly.__mul__", XPoly.__mul__))
+    monkeypatch.setattr(_DensePoly, "__pow__", spy("_DensePoly.__pow__", _DensePoly.__pow__))
+    hasse_data(E)
+    assert calls == []
 
 
 # -- the twisted differential
@@ -360,6 +389,36 @@ def test_bound_report_refuses_additive():
     P = CurvePoint(E, K.from_int(-1), K.from_int(2))
     with pytest.raises(HypothesisError):
         descent_bound_report(E, P, n_max=10)
+
+
+def _tangent_legendre_cover(p):
+    """Legendre pulled back along t = x - y^2/(x(x-1)) with x = -u^6(2+u^6) and
+    y = u^3(2+u^6)(1+u), so that P = (x, y) is a point.  P meets the 2-torsion
+    section (0, 0) at u = 0 with contact 3, so 2P meets O there with contact 3."""
+    K = FunctionField(PrimeField(p), "u")
+    u = K.gen
+    x = -u ** 6 * (u ** 6 + 2)
+    y = u ** 3 * (u ** 6 + 2) * (u + 1)
+    phi = CoverMap(K, FunctionField(PrimeField(p), "t"), x - y ** 2 / (x * (x - 1)))
+    E = legendre(phi.target).pullback(phi)
+    return E, CurvePoint(E, x, y)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_bound_report_known_tangency_off_s(p):
+    E, P = _tangent_legendre_cover(p)
+    u = place(P.x.field, [0, 1])
+    rep = descent_bound_report(E, P, 12)
+    assert rep.iotas[u] == 3
+    assert u in rep.t_ordinary
+    assert not rep.mu_zero
+    # equality, attained by iota - 1 + ord_u A with A a unit at u
+    assert ord_section(hasse_invariant_section(E), u) == 0
+    (check,) = [c for c in rep.checks if c.name == "refined local bound at u"]
+    assert check.ok
+    assert check.detail == (
+        "ord(nu) = 2 >= min(p(iota-1) - ord D, iota - 1 + ord A) = 2 (iota=3)"
+    )
 
 
 def test_hasse_section_degree():

@@ -33,6 +33,36 @@ def test_is_prime():
     assert not is_prime(2 ** 61 + 1)
 
 
+# psi_t, the least strong pseudoprime to every one of the first t prime bases
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def test_is_prime_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in PSI[:12]:
+        assert not sympy.isprime(n)
+        assert not is_prime(n), n
+    rng = random.Random(41)
+    for _ in range(2000):  # every n below psi_13 > 2^81
+        n = rng.randrange(2, 2 ** rng.randrange(2, 82))
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(50):  # primes and semiprimes, which random n rarely are
+        q = sympy.nextprime(rng.randrange(2 ** 40))
+        r = sympy.nextprime(q)
+        assert is_prime(q) and is_prime(r) and not is_prime(q * r), q
+
+
+def test_prime_field_refuses_characteristics_past_the_primality_bound():
+    # psi_13 passes Miller-Rabin to all 13 bases is_prime uses
+    for p in (PSI[11], PSI[12], PSI[12] + 2):
+        with pytest.raises(InputError):
+            PrimeField(p)
+
+
 def test_divmod_random_over_q():
     rng = random.Random(11)
     for _ in range(150):
