@@ -29,9 +29,10 @@ below p^2 <= 255), so each step is one big-integer update and one
 loop.  Over Q one exact division kernel over Z, ``_divmod_int_poly``, carries
 ``divmod`` (pseudo-division: the dividend times lc(divisor)^(deg difference
 + 1) divides exactly), the multiplicity and the candidate tests of the gcd
-and of recombination, all on the primitive terms.  The gcd over Q combines
-gcds modulo primes below 2^31 by CRT, and ``cofactors`` returns it with the
-quotients of its candidate test, so no division by a gcd pseudo-divides.
+and of recombination, all on the primitive terms.  The gcd over Q is the
+heuristic gcd: the integer gcd of the values at a power of 2, read back as
+digits, and ``cofactors`` returns it with the quotients of its candidate
+test, so no division by a gcd pseudo-divides.
 Factorization is complete over F_p (squarefree split, distinct-degree,
 equal-degree) and over Q uses squarefree decomposition, a modular
 factorization lifted by splitting off one factor at a time (Hensel) and
@@ -57,11 +58,13 @@ from .errors import ConsistencyError, InputError, NotFoundError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to every base in _SMALL_PRIMES
-# (Sorenson and Webster 2015): is_prime is exact below it
+# (Sorenson and Webster 2015): is_prime is exact below it and refuses the rest
 _PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    if n >= _PRIME_BOUND:
+        raise ValueError("is_prime is exact only below %d, got %d" % (_PRIME_BOUND, n))
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -617,11 +620,6 @@ def _divmod_mod(a, b, m: int):
     return _trim(q), _trim(a[:n])
 
 
-def _gcd_mod_p(fa: list, fb: list, p: int):
-    """Monic gcd of the reductions mod p, as an int list."""
-    return _gcd_fp(_trim([c % p for c in fa]), _trim([c % p for c in fb]), p)
-
-
 def _gcd_fp(a, b, p: int) -> list:
     """Monic gcd over F_p of reduced, trimmed coefficient sequences, as an int list."""
     if p < 16:
@@ -710,67 +708,46 @@ def _mul_int(a, b) -> list:
     return [c - m if 2 * c > m else c for c in _mul_mod([c % m for c in a], [c % m for c in b], m)]
 
 
-# descending primes below 2^31 for the modular gcd over Q, each searched for
-# once per process, when it is first drawn
-_GCD_PRIMES = [2 ** 31 - 1]
-
-
-def _gcd_primes():
-    for i in itertools.count():
-        if i == len(_GCD_PRIMES):
-            n = _GCD_PRIMES[-1] - 2
-            while not is_prime(n):
-                n -= 2
-            _GCD_PRIMES.append(n)
-        yield _GCD_PRIMES[i]
-
-
 def _gcd_qq(fa: list, fb: list) -> tuple:
-    """(G, fa/G, fb/G): the primitive gcd of primitive lists, by a modular algorithm.
+    """(G, fa/G, fb/G): the primitive gcd of primitive lists, by the heuristic gcd.
 
-    Images of lc_g * (monic gcd mod p) are combined by CRT and the centered
-    lift G is accepted once it divides both inputs, with those quotients;
-    degrees mod an unlucky prime can only be too high, so tracking the
-    minimum keeps this sound.  Unlucky primes divide a nonzero resultant, so
-    with primes drawn for as long as needed the CRT modulus passes the
-    coefficient bound and the loop ends.
+    Both lists are evaluated at x = 2^k, k = (2 min(|fa|, |fb|) + 2).bit_length()
+    + 1 for the sup norms, and the primitive part H of the balanced base-x
+    digits of gcd(fa(x), fb(x)) is the candidate; k doubles until H divides
+    both inputs (Char, Geddes and Gonnet, *GCDHEU*, J. Symbolic Comput. 7,
+    1989).  Correctness: by their theorem a candidate that divides both
+    inputs at x > 2 min(|fa|, |fb|) + 2 is the gcd, and the quotients of that
+    test are the cofactors.  A constant H means gcd(fa(x), fb(x)) <= x/2,
+    while every root of a non-constant G has modulus below 1 + min(|fa|,
+    |fb|) < x/2, so |G(x)| > x/2: the gcd is 1.  Termination: fa = G A and
+    fb = G B with A, B coprime, so gcd(A(x), B(x)) divides their resultant R,
+    and the digits are exactly those of a multiple of G once 2^(k-1) > |R| |G|;
+    doubling k bounds the number of rounds by log log of that bound.
     """
-    lcg = math.gcd(fa[-1], fb[-1])
-    best_deg = None
-    crt_mod = 1
-    crt = None
-    for p in _gcd_primes():
-        if fa[-1] % p == 0 or fb[-1] % p == 0:
-            continue
-        gp = _gcd_mod_p(fa, fb, p)
-        d = len(gp) - 1
-        if d == 0:
+    k = (2 * min(max(map(abs, fa)), max(map(abs, fb))) + 2).bit_length() + 1
+    while True:
+        va = vb = 0
+        for c in reversed(fa):
+            va = (va << k) + c
+        for c in reversed(fb):
+            vb = (vb << k) + c
+        h, x = math.gcd(va, vb), 1 << k
+        digits = []
+        while h:
+            d = h & (x - 1)
+            if 2 * d > x:
+                d -= x
+            digits.append(d)
+            h = (h - d) >> k
+        cand = _primitive(digits)
+        if len(cand) == 1:
             return (1,), fa, fb
-        if best_deg is None or d < best_deg:
-            best_deg = d
-            crt_mod = p
-            crt = [c * lcg % p for c in gp]
-        elif d == best_deg:
-            inv = pow(crt_mod, -1, p)
-            new = []
-            for i in range(d + 1):
-                lo = crt[i]
-                hi = (gp[i] * lcg - lo) * inv % p
-                new.append(lo + crt_mod * hi)
-            crt = new
-            crt_mod *= p
-        else:
-            continue
-        cand = _primitive(_trim([_center(c, crt_mod) for c in crt]))
-        if len(cand) - 1 != best_deg:
-            continue
         qa, ra = _divmod_int_poly(fa, cand)
-        if qa is None or any(ra):
-            continue
-        qb, rb = _divmod_int_poly(fb, cand)
-        if qb is None or any(rb):
-            continue
-        return cand, qa, qb
+        if qa is not None and not any(ra):
+            qb, rb = _divmod_int_poly(fb, cand)
+            if qb is not None and not any(rb):
+                return cand, qa, qb
+        k *= 2
 
 
 # ---------------------------------------------------------------------------

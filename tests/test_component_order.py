@@ -9,6 +9,7 @@ and the point with x = a + u^i lies on component i (or m - i) for 2i < m and
 on component m/2 for 2i >= m.
 """
 
+import hashlib
 from math import gcd
 
 import pytest
@@ -128,6 +129,8 @@ def test_fifth_multiple_over_q_on_an_i20_fiber():
     Q = add(scalar_mul(4, P), P)
     assert Q.y * Q.y == E.cubic().evaluate(Q.x)
     assert component_order(E, Q, v) == 20 // gcd(20, 5 * c)
+    # and 5P itself, pinned byte for byte
+    assert hashlib.sha256(str(Q).encode()).hexdigest()[:16] == "bab33babec116c9b"
 
 
 @pytest.mark.parametrize("i, order", [(5, 7), (7, 5)])

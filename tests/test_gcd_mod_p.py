@@ -1,7 +1,8 @@
 """Differential tests for the F_p gcd kernel on both sides of the p < 16 switch.
 
 Primes below 16 run the byte-packed Euclid, the others a Euclid whose
-remainders come from the shared `_divmod_mod` kernel.
+remainders come from the shared `_divmod_mod` kernel.  `_gcd_fp` takes
+reduced, trimmed lists; `gcd_mod_p` here reduces integer lists mod p first.
 Each case is checked against sympy's GF(p) gcd and a plain Euclid written
 here.
 """
@@ -14,7 +15,7 @@ import pytest
 from maninmaps.cli import Manifest
 from maninmaps.pdescent import _division_values, _short_with_point
 import maninmaps.polynomials as polys
-from maninmaps.polynomials import _gcd_mod_p
+from maninmaps.polynomials import _gcd_fp
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -27,6 +28,11 @@ def _trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def gcd_mod_p(fa, fb, p):
+    """Monic gcd of the reductions mod p, by the kernel under test."""
+    return _gcd_fp(_trim([c % p for c in fa]), _trim([c % p for c in fb]), p)
 
 
 def plain_remainder(a, b, p):
@@ -64,7 +70,7 @@ def sympy_gcd(fa, fb, p):
 
 
 def check(fa, fb, p):
-    got = _gcd_mod_p(list(fa), list(fb), p)
+    got = gcd_mod_p(list(fa), list(fb), p)
     assert got == plain_euclid(fa, fb, p)
     assert got == sympy_gcd(fa, fb, p)
     return got
@@ -130,7 +136,7 @@ def test_unreduced_inputs(p):
         # and pad with multiples of p that vanish after reduction
         ua = [c + p * rng.randrange(-50, 50) for c in a] + [p * rng.randrange(1, 9)]
         ub = [c - p * rng.randrange(0, 10 ** 6) for c in b]
-        assert check(ua, ub, p) == _gcd_mod_p(a, b, p)
+        assert check(ua, ub, p) == gcd_mod_p(a, b, p)
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +220,7 @@ def test_pairs_of_degree_500_to_2000(p):
         g = rand_poly(rng, p, dg, monic=True)
         a = mul(g, rand_poly(rng, p, da - dg), p)
         b = mul(g, rand_poly(rng, p, db - dg), p)
-        got = _gcd_mod_p(a, b, p)
+        got = gcd_mod_p(a, b, p)
         assert got == plain_euclid(a, b, p)
         assert not any(plain_remainder(got, g, p))
     assert got == sympy_gcd(a, b, p)
@@ -233,7 +239,7 @@ def euclid_passes(monkeypatch, a, b, p):
 
     monkeypatch.setattr(polys, "int", CountingInt, raising=False)
     try:
-        return _gcd_mod_p(a, b, p), len(calls) - 2
+        return gcd_mod_p(a, b, p), len(calls) - 2
     finally:
         monkeypatch.undo()
 
@@ -268,4 +274,4 @@ else:
     @given(poly_pair())
     def test_byte_euclid_matches_plain_euclid(pair):
         p, a, b = pair
-        assert _gcd_mod_p(a, b, p) == plain_euclid(a, b, p) == sympy_gcd(a, b, p)
+        assert gcd_mod_p(a, b, p) == plain_euclid(a, b, p) == sympy_gcd(a, b, p)

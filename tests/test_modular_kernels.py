@@ -7,7 +7,7 @@ is checked by its Bezout identity over Q and F_p and through residue-field
 inverses; ``factor`` over Q, whose Hensel lifting and recombination run on
 these kernels modulo p^k, is checked against sympy's ``factor_list``, and
 its subset recombination against its cap.  The gcd over Q is checked on an
-input whose CRT needs more than forty primes.
+input whose gcd has a coefficient of 1,427 bits.
 """
 
 import random
@@ -276,11 +276,11 @@ def test_factor_over_q_matches_sympy_with_many_modular_factors(name, f, monkeypa
     assert max(sizes) >= 4  # the Hensel lift and subset search really ran
 
 
-def test_gcd_over_q_draws_primes_past_forty():
-    # the CRT of lc * (x + N) needs a modulus past 2N, 1,428 bits: more than
-    # forty primes below 2^31
+def test_gcd_over_q_with_a_1427_bit_coefficient():
+    # the heuristic gcd evaluates at a power of 2 past 2N and reads x + N
+    # back as two digits
     N = 3 ** 900 + 7
-    assert (2 * N).bit_length() > 40 * 31
+    assert N.bit_length() == 1427
     a = qpoly(N, 1) * qpoly(1, 1)
     b = qpoly(N, 1) * qpoly(2, 1)
     assert a.gcd(b) == qpoly(N, 1)

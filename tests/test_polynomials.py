@@ -5,6 +5,7 @@ import pytest
 
 from maninmaps.errors import InputError
 from maninmaps.polynomials import (
+    _PRIME_BOUND,
     Poly,
     PrimeField,
     QQ,
@@ -54,6 +55,13 @@ def test_is_prime_against_sympy():
         q = sympy.nextprime(rng.randrange(2 ** 40))
         r = sympy.nextprime(q)
         assert is_prime(q) and is_prime(r) and not is_prime(q * r), q
+
+
+def test_is_prime_refuses_the_primality_bound():
+    # psi_13 passes Miller-Rabin to all 13 bases is_prime uses
+    for n in (_PRIME_BOUND, PSI[12], PSI[12] + 2):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_prime_field_refuses_characteristics_past_the_primality_bound():

@@ -3,12 +3,14 @@
 sympy is the oracle.  ``divmod`` over Q (pseudo-division on the integer
 kernel) must equal sympy's ``div``, for non-monic divisors and dividends of
 lower degree too; ``multiplicity_of`` must find k in ``b**k * g`` for a
-non-monic ``b`` coprime to ``g``; ``Poly.gcd`` over Q (modular gcds combined
-by CRT) must equal sympy's monic gcd on drawn ``g*u`` and ``g*w``;
+non-monic ``b`` coprime to ``g``; ``Poly.gcd`` over Q (the heuristic gcd:
+integer gcds of values at powers of 2, read back as digits) must equal
+sympy's monic gcd on drawn ``g*u`` and ``g*w``, and on fixed pairs that
+reject a first candidate or carry coefficients near 10^60;
 ``factor`` over Q (modular factors lifted by Hensel splits and recombined
 by subsets) must equal ``factor_list``; and over Q and F_7 the factors must
 multiply back to the monic input.  ``cofactors`` (the gcd with both
-quotients, read off the modular gcd's acceptance test over Q) must equal
+quotients, read off the heuristic gcd's acceptance test over Q) must equal
 sympy's ``cofactors`` over Q, F_5, F_13 and F_(2^31 - 1).
 """
 
@@ -160,3 +162,28 @@ def test_cofactors_on_each_shape(F, shape):
 def test_cofactors_match_sympy(F, g, u, w):
     g, u, w = (field_poly(F, cs) for cs in (g, u, w))
     check_cofactors(F, g * u, g * w)
+
+
+BIG = 10 ** 60
+
+
+@pytest.mark.parametrize("a, b, rejects", [
+    # coprime, but the first candidate (x - 13 at x = 2^5) is rejected: k doubles
+    (3 * X ** 2 - X, 2 * X ** 2 + 2 * X - 3, True),
+    # the first candidate is b = x + 2 itself, which leaves the remainder 18
+    # on a: a candidate must divide both inputs, in either order
+    (3 * X ** 2 - 4 * X - 2, X + 2, True),
+    # gcd Phi_105, whose coefficient -2 exceeds the sup norm of x^105 - 1
+    (X ** 105 - 1, sympy.cyclotomic_poly(105, X) * (X + 2), True),
+    # a shared quadratic under coefficients near 10^60
+    ((3 * X ** 2 - 2 * X + 5) * (BIG * X + BIG - 7),
+     (3 * X ** 2 - 2 * X + 5) * ((BIG + 1) * X ** 2 + 17 * X - BIG - 13), False),
+], ids=["doubling", "divides-one", "phi105", "height-1e60"])
+def test_heuristic_gcd_on_fixed_pairs(monkeypatch, a, b, rejects):
+    tried = []
+    divide = polys._divmod_int_poly
+    monkeypatch.setattr(polys, "_divmod_int_poly", lambda f, g: tried.append(g) or divide(f, g))
+    a, b = from_sympy(a), from_sympy(b)
+    g, _, _ = check_cofactors(QQ, a, b)
+    assert any(list(t) != list(g.terms) for t in tried) == rejects
+    check_cofactors(QQ, b, a)
