@@ -479,9 +479,6 @@ class _PolyRing:
     def __init__(self, constants):
         self.constants, self.zero, self.one = constants, Poly.zero(constants), Poly.one(constants)
 
-    def from_int(self, n: int) -> Poly:
-        return Poly.const(self.constants, self.constants.from_int(n))
-
     def __eq__(self, other):
         return isinstance(other, _PolyRing) and self.constants == other.constants
 

@@ -14,11 +14,13 @@ classifying map is not an immersion, read off from dj against j = 0, 1728
 with ord dj taken from the Gauss-Manin pair (Delta, delta) that ``find_pf``
 also uses; off S the order of the section is the contact excess of the
 point with the leaves through it, and the degree of the bundle bounds the
-total.  Exactness
-is tested on numerators cleared into k[t][x], fraction-free.  The operator of
-dx/y itself is read off the Gauss-Manin connection in closed form, with the
-witness solved by back-substitution (``find_pf``); the linear solve it
-replaced is kept only as a test oracle.
+total.  The operator of dx/y itself is read off the Gauss-Manin connection
+in closed form (``find_pf``).  Exactness has one test, shared by
+``find_pf`` and ``verify_pf``: the witness equation has at most one
+solution, of the form y N(x)/f(x)^2 with deg N <= 4, which
+back-substitution finds or rules out (``_witness``).  The linear solve and
+the fraction-free exactness identity it replaced are kept only as test
+oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .elliptic import (
     deg_omega,
     kodaira_type,
     twist_exponent,
-    value_at_O,
 )
 from .errors import ConsistencyError, HypothesisError, InputError, NotFoundError
 from .funcfield import (
@@ -92,58 +93,69 @@ class PFOperator:
         return "PFOperator(%s)" % self
 
 
-def _exactness_holds(E: WeierstrassModel, L: PFOperator) -> bool:
-    """Whether A d^2(1/y) + B d(1/y) + C/y equals the dx-coefficient of dF.
+def _witness(E: WeierstrassModel, A: FieldElement, B: FieldElement, C: FieldElement):
+    """(N, ok): the witness numerator of L = A d^2 + B d + C on E, and whether it works.
 
-    With d(1/y) = -df/(2 y^3), d^2(1/y) = -ddf/(2 y^3) + 3 df^2/(4 y^5) and
-    odd powers of 1/y rewritten as y/f^k, the left side is y NL/(4 f^3) with
-    NL = A(-2 ddf f + 3 df^2) - 2B df f + 4C f^2.  For the witness
-    rx + y ry with ry = N/D, rx must be constant in x and the right side is
-    y RN/(2 D^2 f) with RN = (N'D - N D') 2f + N D f' (' = d/dx, d = d/dt).
+    With f the cubic of E, ' = d/dx and d = d/dt (d x = 0),
+    d(1/y) = -df/(2 y^3) and d^2(1/y) = -ddf/(2 y^3) + 3 df^2/(4 y^5) give
+    L(dx/y) = y R/f^3 dx with R = A(3 df^2/4 - ddf f/2) - B df f/2 + C f^2,
+    of degree at most 6 in x.  For F = rx + y ry,
+    dF = (rx' + y (ry' + ry f'/(2f))) dx, so L(dx/y) = dF iff rx' = 0 and
+    ry' + ry f'/(2f) = R/f^3.  That equation has at most one solution ry in
+    K(x): two would differ by a multiple of f^(-1/2), which is not in K(x).
+    A solution is N/f^2 with deg N <= 4.  A pole c (x - e)^(-k) of ry makes
+    the left side lead with -k c (x - e)^(-k-1) off the roots of f, and with
+    (1/2 - k) c (x - e)^(-k-1) at a root, which is simple; the right side
+    has no pole off the roots and order -3 at one, so ry has no pole off the
+    roots and order at least -2 at each.  A leading term c x^d of N gives
+    c (d - 9/2) x^(d-7) at infinity, where R/f^3 is O(x^-3), so d <= 4.
+    With ry = N/f^2 the equation reads N' f - (3/2) N f' = R.
 
-    The test runs fraction-free in k[t][x] (``XPoly.cleared``): f = F/delta,
-    A = a/alpha, B = b/beta, C = c/gamma, ry = (N/nu)/(D/eta).  Then
-    df = G/delta^2, G = F_t delta - F delta_t, and ddf = H/delta^3,
-    H = G_t delta - 2 G delta_t, so alpha beta gamma delta^4 NL equals
-    NL~ = a beta gamma (-2HF + 3G^2) - 2 b alpha gamma G F delta
-    + 4 c alpha beta F^2 delta^2, and RN = RN~/(nu eta delta) with RN~ the
-    same formula in N, D, F.  Multiplying NL 2 D^2 f = RN 4 f^3 by
-    alpha beta gamma delta^5 eta^2 nu and cancelling F != 0 leaves
-    2 nu NL~ D^2 = 4 alpha beta gamma delta eta RN~ F^2.  rx = P/Q is
-    constant in x iff the Wronskian P'Q - P Q' of its cleared parts is 0.
+    It is solved by back-substitution from x^6 down to x^2 (the image of x^i
+    leads with (i - 9/2) x^(i+2)); ok says whether the x^1 and x^0
+    equations also hold.  So L makes dx/y exact with witness F iff ok holds,
+    rx lies in K and ry = N/f^2.
     """
-    P, Q = L.F.rx.num.cleared()[0], L.F.rx.den.cleared()[0]
-    if not (P.derivative() * Q - P * Q.derivative()).is_zero():
-        return False
-    F, delta = E.cubic().cleared()
-    two, three, four = (F.field.from_int(n) for n in (2, 3, 4))
-    d_t = lambda p: p.map_coeffs(lambda c: c.derivative())  # noqa: E731
-    G = d_t(F).scale(delta) - F.scale(delta.derivative())
-    H = d_t(G).scale(delta) - G.scale(two * delta.derivative())
-    (a, alpha), (b, beta), (c, gamma) = ((e.num, e.den) for e in (L.A, L.B, L.C))
-    NL = (
-        ((G * G).scale(three) - (H * F).scale(two)).scale(a * beta * gamma)
-        - (G * F).scale(two * b * alpha * gamma * delta)
-        + (F * F).scale(four * c * alpha * beta * delta * delta)
+    K = E.field
+    f = E.cubic()
+    ft = f.map_coeffs(FieldElement.derive)
+    R = (
+        (ft * ft).scale(A * 3 / 4)
+        - (ft.map_coeffs(FieldElement.derive) * f).scale(A / 2)
+        - (ft * f).scale(B / 2)
+        + (f * f).scale(C)
     )
-    (N, nu), (D, eta) = L.F.ry.num.cleared(), L.F.ry.den.cleared()
-    RN = (N.derivative() * D - N * D.derivative()) * F.scale(two) + N * D * F.derivative()
-    return (NL * D * D).scale(two * nu) == (RN * F * F).scale(
-        four * alpha * beta * gamma * delta * eta
-    )
+    r = [R[k] for k in range(7)]
+    n = [K.zero] * 5
+    for i in range(4, -1, -1):
+        n[i] = r[i + 2] * K.from_fraction(2, 2 * i - 9)
+        # x^i maps to the sum of (i - 3k/2) f_k x^(i+k-1); k = 3 only clears r[i + 2]
+        for k in range(3):
+            if 2 * i != 3 * k and not f[k].is_zero():
+                r[i + k - 1] = r[i + k - 1] - n[i] * f[k] * K.from_fraction(2 * i - 3 * k, 2)
+    return XPoly(K, n), r[1].is_zero() and r[0].is_zero()
 
 
 def verify_pf(E: WeierstrassModel, L: PFOperator) -> bool:
     """Whether L(dx/y) = dF holds exactly on E (with d x = 0).
 
-    Only E == L.model gets past the first checks, so the answer is kept on L.
+    By ``_witness`` this holds iff the x-part of F is constant in x, the
+    witness equations are consistent, and the y-part of F is N/f^2; the
+    last is tested by cross-multiplying the canonical fraction.  Only
+    E == L.model gets past the first checks, so the answer is kept on L.
     """
     if E.field.char != 0:
         raise InputError("operators with exactness witnesses live in characteristic 0")
     if L.F.model != E:
         return False
     if L._verified is None:
-        L._verified = _exactness_holds(E, L)
+        rx, ry = L.F.rx, L.F.ry
+        if rx.den.degree or rx.num.degree > 0:
+            L._verified = False
+        else:
+            N, ok = _witness(E, L.A, L.B, L.C)
+            f = E.cubic()
+            L._verified = ok and ry.num * (f * f) == ry.den * N
     return L._verified
 
 
@@ -177,10 +189,9 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
     cleared to polynomials, divided by the monic content, and signed so that
     A leads positively.  A degree above pole_bound raises NotFoundError.
 
-    The witness F = y N(x)/f(x)^2 with deg N <= 4 solves
-    N' f - (3/2) N f' = A(3 f_t^2/4 - f_tt f/2) - B f_t f/2 + C f^2 by
-    back-substitution from x^6 down to x^2; the image of x^i leads with
-    (i - 9/2) x^(i+2).  ``verify_pf`` checks the result.
+    The witness F = y N(x)/f(x)^2 comes from ``_witness``, whose residual
+    test is the whole of what ``verify_pf`` would check, so the operator is
+    returned verified; a failed residual raises ConsistencyError.
     """
     if pole_bound < 0:
         raise InputError("pole_bound must be nonnegative, got %d" % pole_bound)
@@ -211,25 +222,12 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
         raise NotFoundError(
             "operator degrees exceed pole bound %d; raise it" % pole_bound
         )
-    f = E.cubic()
-    ft = f.map_coeffs(FieldElement.derive)
-    R = (
-        (ft * ft).scale(A * 3 / 4)
-        - (ft.map_coeffs(FieldElement.derive) * f).scale(A / 2)
-        - (ft * f).scale(B / 2)
-        + (f * f).scale(C)
-    )
-    r = [R[k] for k in range(7)]
-    n = [K.zero] * 5
-    for i in range(4, -1, -1):
-        n[i] = r[i + 2] * 2 / (2 * i - 9)
-        for k in range(4):  # x^i maps to the sum of (i - 3k/2) f_k x^(i+k-1)
-            if i + k:
-                r[i + k - 1] = r[i + k - 1] - n[i] * f[k] * (2 * i - 3 * k) / 2
-    F = CurveFunction(E, RatX(K, XPoly.zero(K)), RatX(K, XPoly(K, n), f * f))
-    L = PFOperator(A, B, C, F)
-    if not verify_pf(E, L):
+    N, ok = _witness(E, A, B, C)
+    if not ok:
         raise ConsistencyError("solved operator failed verification on %s" % E)
+    f = E.cubic()
+    L = PFOperator(A, B, C, CurveFunction(E, RatX(K, XPoly.zero(K)), RatX(K, N, f * f)))
+    L._verified = True  # the residual test of _witness is all verify_pf would run
     return L
 
 
@@ -254,7 +252,13 @@ def pullback_pf(L: PFOperator, phi: CoverMap) -> PFOperator:
 
 
 def manin_value(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> FieldElement:
-    """M(P) in coordinates; additive in P and zero on torsion."""
+    """M(P) in coordinates; additive in P and zero on torsion.
+
+    On a verified witness F = rx + y ry, rx is a constant that cancels from
+    F(P) - F(O), and ry = N/f^2 with deg N <= 4 vanishes at O, so
+    F(P) - F(O) = y ry(x).  ry has a pole only where f(x) = 0, that is at
+    the 2-torsion points, which return 0 first.
+    """
     if not verify_pf(E, L):
         raise HypothesisError("the operator does not make the invariant differential exact")
     if P.is_zero:
@@ -265,13 +269,8 @@ def manin_value(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> FieldEleme
     xp = x.derive()
     df = E.cubic().map_coeffs(lambda c: c.derive())
     df_at = df.evaluate(x)
-    try:
-        FP = L.F.evaluate(P)
-    except ZeroDivisionError:
-        raise HypothesisError("the exactness witness has a pole at the point")
-    FO = value_at_O(L.F)
     inner = xp * (-df_at) / (y ** 3 * 2) + (xp / y).derive()
-    return FP - FO + L.A * inner + L.B * (xp / y)
+    return y * L.F.ry.evaluate(x) + L.A * inner + L.B * (xp / y)
 
 
 def manin_section(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> GradedSection:

@@ -46,6 +46,27 @@ def legendre_operator(K):
     return E, PFOperator(t * (1 - t), 1 - 2 * t, K.from_fraction(-1, 4), F)
 
 
+def fresh(L):
+    """L as a new, unverified operator: ``find_pf`` returns its result verified."""
+    return PFOperator(L.A, L.B, L.C, L.F)
+
+
+def perturbed_operators(E, L):
+    """(kind, operator) for L with one of A, B, C or the witness F changed."""
+    from maninmaps import CurveFunction, RatX
+
+    K = E.field
+    F = L.F
+    x_part = F.rx + RatX.from_xpoly(XPoly.x(K))
+    return [
+        ("A + t", PFOperator(L.A + K.gen, L.B, L.C, F)),
+        ("B + 1", PFOperator(L.A, L.B + 1, L.C, F)),
+        ("2C", PFOperator(L.A, L.B, L.C * 2, F)),
+        ("2 ry", PFOperator(L.A, L.B, L.C, CurveFunction(E, F.rx, F.ry + F.ry))),
+        ("rx + x", PFOperator(L.A, L.B, L.C, CurveFunction(E, x_part, F.ry))),
+    ]
+
+
 def legendre_cover_2(constants, var="s"):
     """Legendre pulled back along t = 2 - s^2/2, with P = (2, s)."""
     K = FunctionField(constants, var)
@@ -216,6 +237,7 @@ def run_model_rescaling_trials(trials):
             assert verify_pf(Ec, Lc)
         else:
             Lc = find_pf(Ec, pole_bound=40)
+            assert verify_pf(Ec, fresh(Lc))
         sec_c = manin_section(Ec, Lc, Pc)
         assert sec_c.value * c == base_sec.value
         for v in places:

@@ -65,11 +65,12 @@ def test_manin_reports_golden_value(capsys):
 
 
 def test_manin_evaluates_the_witness_once(capsys, monkeypatch):
-    from maninmaps.elliptic import CurveFunction
+    from maninmaps.funcfield import RatX
 
+    # manin_value reads F(P) - F(O) as y ry(x): the one evaluation is of ry
     calls = []
-    inner = CurveFunction.evaluate
-    monkeypatch.setattr(CurveFunction, "evaluate", lambda F, P: calls.append(P) or inner(F, P))
+    inner = RatX.evaluate
+    monkeypatch.setattr(RatX, "evaluate", lambda r, x: calls.append(x) or inner(r, x))
     code, _ = run_json(capsys, "manin", str(MANIFESTS / "legendre-p2.cfg"))
     assert code == 0 and len(calls) == 1
 

@@ -31,6 +31,7 @@ from maninmaps import (
 from maninmaps.maninmap import REASON_BAD, REASON_DJ, REASON_J1728
 
 from conftest import (
+    fresh,
     legendre,
     legendre_biquadratic,
     legendre_cover_2,
@@ -93,14 +94,14 @@ def test_verify_pf_checks_each_operator_once(base, Kt, monkeypatch):
 
     E, L = base
     calls = []
-    inner = mm._exactness_holds
+    inner = mm._witness
 
-    def counting(E, L):
-        calls.append(L)
-        return inner(E, L)
+    def counting(E, A, B, C):
+        calls.append((A, B, C))
+        return inner(E, A, B, C)
 
-    monkeypatch.setattr(mm, "_exactness_holds", counting)
-    L = PFOperator(L.A, L.B, L.C, L.F)
+    monkeypatch.setattr(mm, "_witness", counting)
+    L = fresh(L)
     assert verify_pf(E, L) and verify_pf(E, L)
     assert len(calls) == 1
     # a model other than the witness's is refused before any exactness work
@@ -125,14 +126,14 @@ def test_find_pf_recovers_known_operator(base, Kt):
     ratio = found.A / L.A
     assert not ratio.is_zero() and ratio.is_constant()
     assert found.B == L.B * ratio and found.C == L.C * ratio
-    assert verify_pf(E, found)
+    assert verify_pf(E, fresh(found))
 
 
 def test_find_pf_on_tx_t(Kt):
     t = Kt.gen
     E = WeierstrassModel.short(Kt, t, t)
     L = find_pf(E, pole_bound=4)
-    assert verify_pf(E, L)
+    assert verify_pf(E, fresh(L))
 
 
 def test_find_pf_rejects_isotrivial(Kt):
