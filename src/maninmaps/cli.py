@@ -88,14 +88,14 @@ class Manifest:
                         "cover replaces %r but the current variable is %r"
                         % (old, field.var)
                     )
-                names = ast_names(parse_ast(expr)) - {"x", "y"}
-                new_names = sorted(names - {old})
+                ast = parse_ast(expr)
+                new_names = sorted(ast_names(ast) - {"x", "y", old})
                 if len(new_names) != 1:
                     raise InputError(
                         "cover expression must use exactly one new variable: %r" % expr
                     )
                 new_field = FunctionField(constants, new_names[0])
-                image = parse_element(expr, new_field)
+                image = eval_ast(ast, {new_field.var: new_field.gen}, new_field.from_int)
                 step = CoverMap(new_field, field, image)
                 self.cover = step if self.cover is None else self.cover.then(step)
                 field = new_field

@@ -21,7 +21,6 @@ from .funcfield import (
     Place,
     RatX,
     XPoly,
-    ast_names,
     eval_ast,
     ord_at,
     parse_ast,
@@ -513,9 +512,6 @@ def parse_curve_function(text: str, model: WeierstrassModel) -> CurveFunction:
     """Parse an expression in the base variable, x and y to an element of K(E)."""
     ast = parse_ast(text)
     field = model.field
-    extra = ast_names(ast) - {field.var, "x", "y"}
-    if extra:
-        raise InputError("unknown variable %r" % sorted(extra)[0])
     atoms = {
         field.var: CurveFunction.const(model, field.gen),
         "x": CurveFunction.x_coord(model),

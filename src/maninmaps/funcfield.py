@@ -10,7 +10,9 @@ valuation is ``Poly.multiplicity_of``, over Q on the exact Z[x] kernel.
 
 Also here: polynomials in an auxiliary variable x over the function field
 (``XPoly``/``RatX``), covers of the line given by rational substitutions,
-and the expression parser used by the CLI.  ``XPoly.cleared`` writes an
+and the expression parser used by the CLI, which writes an expression as a
+flat postfix program that ``eval_ast`` runs in one stack loop, the one
+place unknown names are refused.  ``XPoly.cleared`` writes an
 x-polynomial as numerators in k[t][x] over one denominator in k[t]; the gcd
 in x is a primitive remainder sequence there, with no field element built.
 
@@ -27,6 +29,7 @@ canonical-fraction arithmetic (coprime with a monic denominator, equality,
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 from .errors import ConsistencyError, InputError, ParseError
@@ -670,10 +673,28 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+# Parentheses nest at most this deep: the descent takes 4 frames per level
+# (expr, term, factor, base), so a deeper input is a ParseError with its
+# position, not a failure that depends on the caller's stack.  Printed values
+# nest at most 4 levels (a witness F).
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent that writes the expression as a postfix program.
+
+    The program is a flat list of operands ``("int", n)`` and
+    ``("name", s)`` and operators ``("neg",)``, ``("add",)``, ``("sub",)``,
+    ``("mul",)``, ``("div",)`` and ``("pow", k)``, each acting on the values
+    before it.  A chain of + - or * / is a flat run of the list, so only
+    parentheses make the descent recurse, at most ``MAX_DEPTH`` levels.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+        self.out = []
 
     def peek(self):
         return self.tokens[self.pos]
@@ -683,119 +704,109 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok[1]), tok[2])
-        return tok
-
     def parse(self):
-        ast = self.expr()
+        self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError("trailing input %r" % tok[1], tok[2])
-        return ast
+        return self.out
 
     def expr(self):
-        if self.peek()[0] == "-":
+        neg = self.peek()[0] == "-"
+        if neg:
             self.next()
-            node = ("neg", self.term())
-        else:
-            node = self.term()
+        self.term()
+        if neg:
+            self.out.append(("neg",))
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            self.term()
+            self.out.append(("add",) if op == "+" else ("sub",))
 
     def term(self):
-        node = self.factor()
+        self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.next()[0]
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            self.factor()
+            self.out.append(("mul",) if op == "*" else ("div",))
 
     def factor(self):
-        node = self.base()
+        self.base()
         if self.peek()[0] == "^":
-            caret = self.next()
+            self.next()
             tok = self.next()
             if tok[0] != "int":
                 raise ParseError("exponent must be an integer", tok[2])
-            node = ("pow", node, tok[1])
+            self.out.append(("pow", tok[1]))
             if self.peek()[0] == "^":
                 raise ParseError("repeated exponent", self.peek()[2])
-        return node
 
     def base(self):
         tok = self.next()
         if tok[0] == "int":
-            return ("int", tok[1])
-        if tok[0] == "var":
-            return ("name", tok[1])
-        if tok[0] == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError("unexpected token %r" % (tok[1],), tok[2])
+            self.out.append(("int", tok[1]))
+        elif tok[0] == "var":
+            self.out.append(("name", tok[1]))
+        elif tok[0] == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError("parentheses nest deeper than %d" % MAX_DEPTH, tok[2])
+            self.depth += 1
+            self.expr()
+            tok = self.next()
+            if tok[0] != ")":
+                raise ParseError("expected %r, found %r" % (")", tok[1]), tok[2])
+            self.depth -= 1
+        else:
+            raise ParseError("unexpected token %r" % (tok[1],), tok[2])
 
 
-def parse_ast(text: str):
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def parse_ast(text: str) -> list:
+    """The postfix program of an expression (see ``_Parser``)."""
     return _Parser(text).parse()
 
 
 def ast_names(ast) -> set:
-    kind = ast[0]
-    if kind == "int":
-        return set()
-    if kind == "name":
-        return {ast[1]}
-    if kind == "neg":
-        return ast_names(ast[1])
-    if kind == "pow":
-        return ast_names(ast[1])
-    return ast_names(ast[1]) | ast_names(ast[2])
+    return {op[1] for op in ast if op[0] == "name"}
 
 
 def eval_ast(ast, atoms: dict, from_int):
-    """Evaluate an AST in any algebra with +,-,*,/,** and an int embedding."""
-    kind = ast[0]
-    if kind == "int":
-        return from_int(ast[1])
-    if kind == "name":
-        try:
-            return atoms[ast[1]]
-        except KeyError:
-            raise ParseError("unknown variable %r" % ast[1])
-    if kind == "neg":
-        return -eval_ast(ast[1], atoms, from_int)
-    if kind == "pow":
-        base = eval_ast(ast[1], atoms, from_int)
-        return base ** ast[2]
-    lhs = eval_ast(ast[1], atoms, from_int)
-    rhs = eval_ast(ast[2], atoms, from_int)
-    if kind == "add":
-        return lhs + rhs
-    if kind == "sub":
-        return lhs - rhs
-    if kind == "mul":
-        return lhs * rhs
-    if kind == "div":
-        try:
-            return lhs / rhs
-        except ZeroDivisionError:
-            raise ParseError("division by zero in expression")
-    raise ConsistencyError("bad AST node %r" % kind)
+    """Run a postfix program in any algebra with +,-,*,/,** and an int embedding.
+
+    Every name must be a key of ``atoms``: before anything is evaluated, the
+    first unknown name in sorted order raises ``ParseError``.
+    """
+    unknown = ast_names(ast) - atoms.keys()
+    if unknown:
+        raise ParseError("unknown variable %r" % min(unknown))
+    stack = []
+    for op in ast:
+        kind = op[0]
+        if kind == "int":
+            stack.append(from_int(op[1]))
+        elif kind == "name":
+            stack.append(atoms[op[1]])
+        elif kind == "neg":
+            stack[-1] = -stack[-1]
+        elif kind == "pow":
+            stack[-1] = stack[-1] ** op[1]
+        elif kind == "div":
+            rhs = stack.pop()
+            try:
+                stack[-1] = stack[-1] / rhs
+            except ZeroDivisionError:
+                raise ParseError("division by zero in expression")
+        else:
+            rhs = stack.pop()
+            stack[-1] = _ARITH[kind](stack[-1], rhs)
+    return stack.pop()
 
 
 def parse_element(text: str, field: FunctionField) -> FieldElement:
     """Parse an expression in the base variable to an exact FieldElement."""
-    ast = parse_ast(text)
-    extra = ast_names(ast) - {field.var}
-    if extra:
-        raise ParseError("unknown variable %r" % sorted(extra)[0])
-    return eval_ast(ast, {field.var: field.gen}, field.from_int)
+    return eval_ast(parse_ast(text), {field.var: field.gen}, field.from_int)
 
 
 def parse(text: str, field: FunctionField):
@@ -805,15 +816,7 @@ def parse(text: str, field: FunctionField):
     not a value this entry point produces.
     """
     ast = parse_ast(text)
-    names = ast_names(ast)
-    extra = names - {field.var, "x"}
-    if extra:
-        raise ParseError("unknown variable %r" % sorted(extra)[0])
-    if "x" not in names:
+    if "x" not in ast_names(ast):
         return eval_ast(ast, {field.var: field.gen}, field.from_int)
-    atoms = {
-        field.var: RatX.const(field.gen),
-        "x": RatX.from_xpoly(XPoly.x(field)),
-    }
-    val = eval_ast(ast, atoms, lambda n: RatX.const(field.from_int(n)))
-    return val.as_xpoly()
+    atoms = {field.var: RatX.const(field.gen), "x": RatX.from_xpoly(XPoly.x(field))}
+    return eval_ast(ast, atoms, lambda n: RatX.const(field.from_int(n))).as_xpoly()

@@ -4,12 +4,16 @@ Manifests are written as a user writes them: short curves
 y^2 = x^3 + A x + (h^2 - g^3 - A g) through (g, h) over F_p(u), and Legendre
 covers t = (a^2 (a - 1) - s^2)/(a (a - 1)) through (a, s), for p in
 {5, 7, 11, 13}, with the point in each form the README allows: `g, h`,
-`(g, h)` and `(g), (h)`.  Every characteristic-p command runs through
-``cli.run``, descent-bound at a drawn n_max <= 20, and must
+`(g, h)` and `(g), (h)`.  Some manifests add a [combinations] section,
+Q = m*P + n*P for small m and n and the zero combination Z = P - P, and the
+commands then act on the point --point names.  Every characteristic-p
+command runs through ``cli.run``, descent-bound at a drawn n_max <= 20, and
+must
 - exit with 0, 1 or 2 (3 is an internal failure, never valid input);
-- carry an "error" key exactly when it exits nonzero;
+- carry an "error" key exactly when it exits nonzero, and render as a
+  --table text with an "error:" line exactly then;
 - print field elements and places that re-parse to themselves;
-- print the same bytes when run again.
+- print the same bytes, as JSON and as a table, when run again.
 
 Drawn short curves may be singular or additive, and one point in six is
 moved off its curve; those must be refused with exit 1 or 2.  The
@@ -29,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maninmaps import FunctionField, PrimeField, parse
-from maninmaps.cli import run
+from maninmaps.cli import _render_table, run
 
 COMMANDS = ("invariants", "lambda", "mu", "nu", "check-tau", "descent-bound")
 POINT_FORMS = ("%s, %s", "(%s, %s)", "(%s), (%s)")
@@ -38,9 +42,18 @@ FIELD_KEYS = {"value", "discriminant", "j_invariant", "place",
               "t_ordinary", "t_special", "points", "cover"}
 
 
+def with_combinations(draw, text):
+    """(text, point) with Q = m*P + n*P and Z = P - P added, or (text, None)."""
+    if not draw(st.booleans()):
+        return text, None
+    m, n = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    text += "\n[combinations]\nQ = %d*P %s %d*P\nZ = P - P\n" % (m, "-+"[n >= 0], abs(n))
+    return text, draw(st.sampled_from([None, "P", "Q", "Z"]))
+
+
 @st.composite
 def charp_manifest(draw):
-    """(manifest text, final field, base field)."""
+    """(manifest text, final field, base field, point to act on)."""
     p = draw(st.sampled_from([5, 7, 11, 13]))
     form = draw(st.sampled_from(POINT_FORMS))
     off = " + 1" if draw(st.integers(0, 5)) == 0 else ""  # an off-curve point: exit 2
@@ -57,12 +70,13 @@ def charp_manifest(draw):
         text = head + "variable = u\ncubic = x^3 + (%s)*x + (%s)\n" % (
             K.element(A), K.element(a6))
         point = form % (K.element(g), "%s%s" % (K.element(h), off))
-        return text + "\n[points]\nP = " + point + "\n", K, K
+        text, name = with_combinations(draw, text + "\n[points]\nP = " + point + "\n")
+        return text, K, K, name
     a = draw(st.integers(2, p - 1))
     text = head + ("variable = t\ncubic = x^3 - (1+t)*x^2 + t*x\n\n[cover]\n"
                    "t = (%d - s^2)/%d\n" % (a * a * (a - 1), a * (a - 1)))
-    text += "\n[points]\nP = " + form % (a, "s" + off) + "\n"
-    return text, FunctionField(PrimeField(p), "s"), FunctionField(PrimeField(p), "t")
+    text, name = with_combinations(draw, text + "\n[points]\nP = " + form % (a, "s" + off) + "\n")
+    return text, FunctionField(PrimeField(p), "s"), FunctionField(PrimeField(p), "t"), name
 
 
 def reparse_problems(doc, field, base_field):
@@ -93,7 +107,7 @@ def reparse_problems(doc, field, base_field):
 @settings(max_examples=60, deadline=None)
 @given(charp_manifest(), st.integers(1, 20))
 def test_charp_commands_keep_the_cli_contract(drawn, n_max):
-    text, field, base_field = drawn
+    text, field, base_field, point = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "drawn.cfg")
         with open(path, "w", encoding="utf-8") as fh:
@@ -101,10 +115,13 @@ def test_charp_commands_keep_the_cli_contract(drawn, n_max):
         for command in COMMANDS:
             outputs = []
             for _ in range(2):
-                args = SimpleNamespace(n_max=n_max, pole_bound=None, point=None)
+                args = SimpleNamespace(n_max=n_max, pole_bound=None, point=point)
                 code, payload = run(command, path, args)
-                outputs.append((code, json.dumps(payload, indent=2, sort_keys=True)))
+                table = _render_table(payload)
+                outputs.append((code, json.dumps(payload, indent=2, sort_keys=True), table))
             assert outputs[0] == outputs[1], command
             assert code in (0, 1, 2), (command, payload.get("error"))
             assert ("error" in payload) == (code != 0), (command, payload)
+            has_error_line = any(line.startswith("error: ") for line in table.splitlines())
+            assert has_error_line == (code != 0), (command, table)
             assert reparse_problems(payload, field, base_field) == [], command
