@@ -29,7 +29,6 @@ from .errors import (
     HypothesisError,
     InputError,
     NotFoundError,
-    ParseError,
 )
 from .funcfield import (
     CoverMap,
@@ -416,7 +415,7 @@ def run(command: str, manifest_path: str, args) -> tuple:
         results, checks = _HANDLERS[command](man, args)
         payload["results"] = results
         payload["checks"] = _check_json(checks)
-    except (ParseError, InputError) as exc:
+    except InputError as exc:  # ParseError included
         payload["error"] = str(exc)
         return 2, payload
     except (HypothesisError, NotFoundError) as exc:
@@ -468,9 +467,7 @@ def main(argv=None) -> int:
                         help="largest multiple scanned for contacts (default 30)")
     parser.add_argument("--pole-bound", dest="pole_bound", type=_option_int, default=None,
                         help="degree bound for operator coefficients (default 4)")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--table", action="store_true", default=False)
+    parser.add_argument("--table", action="store_true")
     args = parser.parse_args(argv)
 
     code, payload = run(args.command, args.manifest, args)

@@ -316,16 +316,19 @@ class KodairaType:
         return "KodairaType(%s)" % self
 
 
-def twist_exponent(E: WeierstrassModel, v: Place) -> int:
-    """The k with (a4 pi^4k, a6 pi^6k) regular of minimal valuation at v."""
-    E = E.depress()[0]
-    o4 = ord_at(E.a4, v)
-    o6 = ord_at(E.a6, v)
+def _twist(o4, o6) -> int:
+    """k_v from ord_v a4 and ord_v a6 (INF for a zero coefficient)."""
     if o4 is INF:
         return -(o6 // 6)
     if o6 is INF:
         return -(o4 // 4)
     return -min(o4 // 4, o6 // 6)
+
+
+def twist_exponent(E: WeierstrassModel, v: Place) -> int:
+    """The k with (a4 pi^4k, a6 pi^6k) regular of minimal valuation at v."""
+    E = E.depress()[0]
+    return _twist(ord_at(E.a4, v), ord_at(E.a6, v))
 
 
 def kodaira_type(E: WeierstrassModel, v: Place) -> KodairaType:

@@ -4,9 +4,9 @@ The base curve is always the projective line with a named coordinate, so a
 place is either a monic irreducible polynomial or the point at infinity, and
 every valuation is a multiplicity count.  Degrees of places weight every
 global count, which is how closed points over a non-algebraically-closed
-constant field are handled.  Places come from one routine, ``support_places``
-(the factors of every numerator and denominator, plus infinity); a finite
-valuation is ``Poly.multiplicity_of``, over Q on the exact Z[x] kernel.
+constant field are handled.  ``divisor_of_function``, the divisor kernel,
+reads orders off ``factor``'s multiplicities for every reader of many places;
+``ord_at``, the single-place query, counts with ``Poly.multiplicity_of``.
 
 Also here: polynomials in an auxiliary variable x over the function field
 (``XPoly``/``RatX``), covers of the line given by rational substitutions,
@@ -352,16 +352,16 @@ def places_of_poly(q: Poly, field: FunctionField) -> list:
 
 
 def support_places(*fs: FieldElement) -> set:
-    """All places where one of the nonzero functions fs could have nonzero order.
+    """Infinity and the factors of every numerator and denominator of fs."""
+    return set(_local_orders(*fs))
 
-    These are the factors of every numerator and denominator, and infinity.
-    """
-    field = fs[0].field
-    out = {field.infinity()}
-    for f in fs:
-        for q in (f.num, f.den):
-            out.update(p for p, _ in places_of_poly(q, field))
-    return out
+
+def _local_orders(*fs: FieldElement) -> dict:
+    """{place: [ord f for f in fs]} over ``support_places(*fs)``, read off
+    the divisors of fs; a zero f has order INF."""
+    divs = [None if f.is_zero() else dict(divisor_of_function(f)) for f in fs]
+    places = {fs[0].field.infinity()}.union(*(d for d in divs if d))
+    return {v: [INF if d is None else d.get(v, 0) for d in divs] for v in places}
 
 
 def divisor_of_function(f: FieldElement) -> list:
@@ -407,17 +407,16 @@ def ord_differential(omega: Differential, place: Place) -> int:
     """
     if omega.is_zero():
         raise InputError("order of the zero differential")
-    correction = -2 if place.is_infinity else 0
-    return ord_at(omega.coefficient, place) + correction
+    return ord_at(omega.coefficient, place) - (2 if place.is_infinity else 0)
 
 
 def divisor_of_differential(omega: Differential) -> list:
-    """Divisor of a nonzero differential; degree -2 on the line."""
-    out = []
-    for place in support_places(omega.coefficient):
-        o = ord_differential(omega, place)
-        if o:
-            out.append((place, o))
+    """Divisor of a nonzero differential: the coefficient's, less 2 at
+    infinity (see ``ord_differential``); degree -2 on the line."""
+    acc = dict(divisor_of_function(omega.coefficient))
+    inf = omega.field.infinity()
+    acc[inf] = acc.get(inf, 0) - 2
+    out = [(p, o) for p, o in acc.items() if o]
     total = sum(p.degree * m for p, m in out)
     if total != -2:
         raise ConsistencyError("divisor of a differential has degree %d" % total)
@@ -679,6 +678,12 @@ def _tokenize(text: str) -> list:
 # nest at most 4 levels (a witness F).
 MAX_DEPTH = 100
 
+# No subexpression may have degree above this in any variable, so a manifest
+# cannot ask for a dense power of degree 10^9.  Printed values stay far below
+# it (mu over F_2003 on a quadratic cover, pinned in CI, has degree 4,004,
+# about 2p), and a dense power of degree 10^5 over F_p takes well under 0.1 s.
+MAX_DEGREE = 10 ** 5
+
 
 class _Parser:
     """Recursive descent that writes the expression as a postfix program.
@@ -688,6 +693,8 @@ class _Parser:
     ``("mul",)``, ``("div",)`` and ``("pow", k)``, each acting on the values
     before it.  A chain of + - or * / is a flat run of the list, so only
     parentheses make the descent recurse, at most ``MAX_DEPTH`` levels.
+    ``degs`` bounds the degree of each value on the stack (a name 1, an
+    integer 0, the sum for * and /, the exponent times it for ^).
     """
 
     def __init__(self, text: str):
@@ -695,6 +702,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.out = []
+        self.degs = []
 
     def peek(self):
         return self.tokens[self.pos]
@@ -722,13 +730,15 @@ class _Parser:
             op = self.next()[0]
             self.term()
             self.out.append(("add",) if op == "+" else ("sub",))
+            self.degs[-2:] = [max(self.degs[-2:])]
 
     def term(self):
         self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
+            op, _, pos = self.next()
             self.factor()
             self.out.append(("mul",) if op == "*" else ("div",))
+            self.bound(sum(self.degs[-2:]), 2, pos)
 
     def factor(self):
         self.base()
@@ -738,15 +748,15 @@ class _Parser:
             if tok[0] != "int":
                 raise ParseError("exponent must be an integer", tok[2])
             self.out.append(("pow", tok[1]))
+            self.bound(tok[1] * self.degs[-1], 1, tok[2])
             if self.peek()[0] == "^":
                 raise ParseError("repeated exponent", self.peek()[2])
 
     def base(self):
         tok = self.next()
-        if tok[0] == "int":
-            self.out.append(("int", tok[1]))
-        elif tok[0] == "var":
-            self.out.append(("name", tok[1]))
+        if tok[0] in ("int", "var"):
+            self.out.append(("int" if tok[0] == "int" else "name", tok[1]))
+            self.degs.append(0 if tok[0] == "int" else 1)
         elif tok[0] == "(":
             if self.depth == MAX_DEPTH:
                 raise ParseError("parentheses nest deeper than %d" % MAX_DEPTH, tok[2])
@@ -758,6 +768,11 @@ class _Parser:
             self.depth -= 1
         else:
             raise ParseError("unexpected token %r" % (tok[1],), tok[2])
+
+    def bound(self, deg, arity, pos):
+        if deg > MAX_DEGREE:
+            raise ParseError("degree past %d" % MAX_DEGREE, pos)
+        self.degs[-arity:] = [deg]
 
 
 _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}

@@ -32,19 +32,11 @@ from .elliptic import (
     WeierstrassModel,
     XPoly,
     _gauss_manin,
-    curve_places,
+    _twist,
     deg_omega,
-    kodaira_type,
-    twist_exponent,
 )
 from .errors import ConsistencyError, HypothesisError, InputError, NotFoundError
-from .funcfield import (
-    CoverMap,
-    FieldElement,
-    Place,
-    ord_at,
-    places_of_poly,
-)
+from .funcfield import CoverMap, FieldElement, Place, _local_orders
 from .sections import GradedSection, divisor
 
 
@@ -332,12 +324,13 @@ def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
 
     On the short model j = 6912 a4^3/Delta, j - 1728 = -46656 a6^2/Delta and
     j' = 6912 * 27 a4^2 a6 delta/Delta^2 (``elliptic._gauss_manin``), so every
-    zero of j, j - 1728 or dj lies in ``curve_places`` or among the zeros of
-    delta; delta = 0 is isotriviality, refused.  At a good place the minimal
-    discriminant is a unit, so with a = ord_v a4 + 4k_v, b = ord_v a6 + 6k_v
-    and ord_v Delta = -12k_v: ord_v(j) = 3a, ord_v(j - 1728) = 2b and
-    ord_v(dj) = 2a + b + ord_v(delta) + 10k_v, less 2 at infinity, where dt
-    has a double pole.
+    zero of j, j - 1728 or dj lies in the support of a4, a6, Delta or delta,
+    and their divisors give every order below; delta = 0 is isotriviality,
+    refused.  A place is bad when ord_v Delta + 12k_v != 0.  At a good place
+    the minimal discriminant is a unit, so with a = ord_v a4 + 4k_v,
+    b = ord_v a6 + 6k_v and ord_v Delta = -12k_v: ord_v(j) = 3a,
+    ord_v(j - 1728) = 2b and ord_v(dj) = 2a + b + ord_v(delta) + 10k_v, less
+    2 at infinity, where dt has a double pole.
     """
     if E.field.char != 0:
         raise InputError("the exceptional set is a characteristic-0 notion")
@@ -345,19 +338,16 @@ def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
     delta = _gauss_manin(Es)[1]
     if delta.is_zero():
         raise HypothesisError("isotrivial curve: dj vanishes identically")
-    places = curve_places(Es)
-    candidates = set(places)
-    candidates.update(v for v, _ in places_of_poly(delta.num, Es.field))
-    bad = {v for v in places if not kodaira_type(Es, v).is_good}
     entries = []
-    for v in candidates:
-        if v in bad:
+    orders = _local_orders(Es.a4, Es.a6, Es.discriminant(), delta)
+    for v, (o4, o6, o_disc, o_delta) in orders.items():
+        k = _twist(o4, o6)
+        if o_disc + 12 * k:
             entries.append((v, REASON_BAD))
             continue
-        k = twist_exponent(Es, v)
-        a = ord_at(Es.a4, v) + 4 * k
-        b = ord_at(Es.a6, v) + 6 * k
-        o_dj = 2 * a + b + ord_at(delta, v) + 10 * k - (2 if v.is_infinity else 0)
+        a = o4 + 4 * k
+        b = o6 + 6 * k
+        o_dj = 2 * a + b + o_delta + 10 * k - (2 if v.is_infinity else 0)
         if a > 0:
             if o_dj > 2:
                 entries.append((v, REASON_J0))

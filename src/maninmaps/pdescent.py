@@ -38,7 +38,7 @@ from .funcfield import (
     places_of_poly,
 )
 from .polynomials import Poly
-from .sections import DivisorReport, GradedSection, divisor, ord_section
+from .sections import DivisorReport, GradedSection, divisor
 
 
 def _require_charp(E: WeierstrassModel) -> int:
@@ -200,12 +200,12 @@ def reduction_table_report(E: WeierstrassModel) -> list:
     """
     p = _require_charp(E)
     E, _ = _short_with_point(E)
-    lam = kodaira_spencer_section(E)
-    places = set(divisor(lam).support()) | set(curve_places(E))
+    lam_div = divisor(kodaira_spencer_section(E))
+    places = set(lam_div.support()) | set(curve_places(E))
     rows = []
     for v in sorted(places, key=lambda q: q.sort_key()):
         ktype = kodaira_type(E, v)
-        ell = ord_section(lam, v)
+        ell = lam_div.ord(v)
         expected, pred = _table_expectation(ktype, p)
         rows.append(TableRow(v, ktype, ell, expected, pred(ell)))
     return rows
@@ -550,7 +550,6 @@ def descent_bound_report(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) ->
     checks = []
     mu_zero = mu.is_zero()
     nu_div = None
-    a_sec = data.section()
     if not mu_zero:
         nu = GradedSection(mu * lam.value, p - 2, 1, E)
         nu_div = divisor(nu)
@@ -561,10 +560,11 @@ def descent_bound_report(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) ->
             "ord(nu) >= -ord(D) at %d places" % len(places),
         ))
 
-    watch = set(lam_div.support()) | set(divisor(a_sec).support())
+    a_div = divisor(data.section())
+    watch = set(lam_div.support()) | set(a_div.support())
     scan = tangency_scan(E, P, n_max, watch_places=watch)
     tangent = {v: i for v, i in scan.iotas.items() if i >= 2}
-    t_s = [v for v in tangent if ord_section(lam, v) > 0]
+    t_s = [v for v in tangent if lam_div.ord(v) > 0]
     t_o = [v for v in tangent if v not in t_s]
     w_o = sum(v.degree for v in t_o)
     w_s = sum(v.degree for v in t_s)
@@ -578,7 +578,7 @@ def descent_bound_report(E: WeierstrassModel, P: CurvePoint, n_max: int = 30) ->
             lhs = nu_div.ord(v)
             rhs = min(
                 p * (iota - 1) - D.ord(v),
-                iota - 1 + ord_section(a_sec, v),
+                iota - 1 + a_div.ord(v),
             )
             checks.append(Check(
                 "refined local bound at %s" % v,

@@ -396,12 +396,6 @@ class Poly(_DensePoly):
             return self.scale(b[0])
         return Poly(f, _mul_mod(a, b, f.p))
 
-    def shift(self, k: int):
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def __divmod__(self, other):
         f = self.field
         if other.is_zero():

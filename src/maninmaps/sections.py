@@ -6,14 +6,15 @@ and a differential degree m (the power of the module of 1-forms on the
 line).  The order at a place is computed against the place-minimal model, so
 it does not depend on which short Weierstrass model the value was written
 in; the correction is kappa times the local twist exponent, plus -2m at
-infinity where d(var) has its double pole.
+infinity where d(var) has its double pole.  ``divisor`` reads its orders off
+the divisors of the value, a4 and a6 (``funcfield.divisor_of_function``).
 """
 
 from __future__ import annotations
 
-from .elliptic import WeierstrassModel, curve_places, deg_omega, twist_exponent
+from .elliptic import WeierstrassModel, _twist, deg_omega, twist_exponent
 from .errors import ConsistencyError, InputError
-from .funcfield import FieldElement, Place, ord_at, support_places
+from .funcfield import FieldElement, Place, _local_orders, divisor_of_function, ord_at
 
 
 class GradedSection:
@@ -55,13 +56,16 @@ class GradedSection:
 
 
 class DivisorReport:
-    """A divisor as a sorted list of (Place, ord) with degree-weighted total."""
+    """A divisor as a sorted list of (Place, ord), the orders given for a place summed."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
+        acc = {}
+        for p, o in entries:
+            acc[p] = acc.get(p, 0) + o
         self.entries = sorted(
-            [(p, o) for p, o in entries if o], key=lambda po: po[0].sort_key()
+            [(p, o) for p, o in acc.items() if o], key=lambda po: po[0].sort_key()
         )
 
     @property
@@ -69,10 +73,7 @@ class DivisorReport:
         return sum(p.degree * o for p, o in self.entries)
 
     def ord(self, place: Place) -> int:
-        for p, o in self.entries:
-            if p == place:
-                return o
-        return 0
+        return dict(self.entries).get(place, 0)
 
     def support(self) -> list:
         return [p for p, _ in self.entries]
@@ -88,10 +89,7 @@ class DivisorReport:
         return DivisorReport([(p, n * o) for p, o in self.entries])
 
     def __add__(self, other: "DivisorReport") -> "DivisorReport":
-        acc = {}
-        for p, o in list(self.entries) + list(other.entries):
-            acc[p] = acc.get(p, 0) + o
-        return DivisorReport(list(acc.items()))
+        return DivisorReport(self.entries + other.entries)
 
     def serialize(self) -> list:
         return [
@@ -99,9 +97,7 @@ class DivisorReport:
         ]
 
     def __str__(self):
-        if not self.entries:
-            return "0"
-        return " + ".join("%d*(%s)" % (o, p) for p, o in self.entries)
+        return " + ".join("%d*(%s)" % (o, p) for p, o in self.entries) or "0"
 
     def __repr__(self):
         return "DivisorReport(%s)" % self
@@ -119,15 +115,18 @@ def ord_section(S: GradedSection, v: Place) -> int:
 def divisor(S: GradedSection) -> DivisorReport:
     """Full divisor of a nonzero graded section.
 
-    The support is contained in the support of the value, the places where
-    the model needs a twist, and infinity; the degree identity
-    degree = -2 m + weight * deg_omega is checked before returning.
+    The divisor of the value, plus weight * k_v where the model needs a twist
+    (off the support of a4 and a6, k_v = 0), less 2m at infinity; the degree
+    identity degree = -2 m + weight * deg_omega is checked before returning.
     """
     if S.is_zero():
         raise InputError("divisor of the zero section")
-    places = set(curve_places(S.model)) | support_places(S.value)
-    report = DivisorReport([(v, ord_section(S, v)) for v in places])
-    expected = -2 * S.diff_degree + S.weight * deg_omega(S.model)
+    E = S.model
+    twist = [(v, S.weight * _twist(*o)) for v, o in _local_orders(E.a4, E.a6).items()]
+    report = DivisorReport(
+        divisor_of_function(S.value) + twist + [(E.field.infinity(), -2 * S.diff_degree)]
+    )
+    expected = -2 * S.diff_degree + S.weight * deg_omega(E)
     if report.degree != expected:
         raise ConsistencyError(
             "divisor degree %d does not match -2m + weight*deg_omega = %d"

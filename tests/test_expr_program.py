@@ -10,8 +10,12 @@
   terms re-parses to itself, chains of 3,000 terms evaluate, parentheses
   parse up to ``MAX_DEPTH`` levels and one more is a ``ParseError`` at its
   position, and through the CLI a manifest nested 3,000 levels deep exits 2.
+- Degrees are bounded as the program is written: a power or product past
+  ``MAX_DEGREE`` is a ``ParseError`` at its exponent or operator, and a
+  manifest asking for t^1000000000 exits 2 at once.
 """
 
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -33,7 +37,7 @@ from maninmaps import (
 )
 from maninmaps.cli import run
 from maninmaps.errors import InputError, ParseError
-from maninmaps.funcfield import MAX_DEPTH, eval_ast, parse_ast
+from maninmaps.funcfield import MAX_DEGREE, MAX_DEPTH, eval_ast, parse_ast
 
 FIELDS = {"Q": FunctionField(QQ, "t"), "F7": FunctionField(PrimeField(7), "t")}
 MODELS = {name: legendre(K) for name, K in FIELDS.items()}
@@ -154,3 +158,30 @@ def test_deeply_nested_manifest_exits_two(tmp_path):
     args = SimpleNamespace(n_max=None, pole_bound=None, point=None)
     code, payload = run("invariants", str(path), args)
     assert code == 2 and "parentheses nest deeper" in payload["error"]
+
+
+def test_degree_is_bounded_where_the_program_is_written():
+    K = FIELDS["F7"]
+    assert parse_element("(2*t^%d)^1 - 1" % MAX_DEGREE, K) == K.gen ** MAX_DEGREE * 2 - 1
+    cases = (
+        ("t^%d" % (MAX_DEGREE + 1), 2),
+        ("((t^1000)^1000)^1000", 10),
+        ("(t + 1)^60000*t^60000", 13),
+        ("x^3 - x + t^1000000000", 12),
+    )
+    for text, position in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text, K)
+        assert err.value.position == position
+        assert "degree past %d" % MAX_DEGREE in str(err.value)
+    # constants have degree 0 at any power
+    assert parse_element("3^1000000 * t", K) == pow(3, 10 ** 6, 7) * K.gen
+
+
+def test_huge_power_in_a_manifest_exits_two_at_once(tmp_path):
+    path = tmp_path / "power.cfg"
+    path.write_text("[curve]\ncubic = x^3 - x + t^1000000000\n")
+    start = time.perf_counter()
+    code, payload = run("invariants", str(path), SimpleNamespace(n_max=None, pole_bound=None, point=None))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "degree past" in payload["error"]

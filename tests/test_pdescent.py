@@ -391,25 +391,24 @@ def test_bound_report_refuses_additive():
         descent_bound_report(E, P, n_max=10)
 
 
-def _tangent_legendre_cover(p):
-    """Legendre pulled back along t = x - y^2/(x(x-1)) with x = -u^6(2+u^6) and
-    y = u^3(2+u^6)(1+u), so that P = (x, y) is a point.  P meets the 2-torsion
-    section (0, 0) at u = 0 with contact 3, so 2P meets O there with contact 3."""
+def _tangent_legendre_cover(p, k=3):
+    """Legendre pulled back along t = x - y^2/(x(x-1)) with x = -u^2k(2+u^2k) and
+    y = u^k(2+u^2k)(1+u), so that P = (x, y) is a point.  P meets the 2-torsion
+    section (0, 0) at u = 0 with contact k, so 2P meets O there with contact k."""
     K = FunctionField(PrimeField(p), "u")
     u = K.gen
-    x = -u ** 6 * (u ** 6 + 2)
-    y = u ** 3 * (u ** 6 + 2) * (u + 1)
+    x = -u ** (2 * k) * (u ** (2 * k) + 2)
+    y = u ** k * (u ** (2 * k) + 2) * (u + 1)
     phi = CoverMap(K, FunctionField(PrimeField(p), "t"), x - y ** 2 / (x * (x - 1)))
     E = legendre(phi.target).pullback(phi)
     return E, CurvePoint(E, x, y)
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_bound_report_known_tangency_off_s(p):
-    E, P = _tangent_legendre_cover(p)
+def _check_known_tangency(p, k):
+    E, P = _tangent_legendre_cover(p, k)
     u = place(P.x.field, [0, 1])
     rep = descent_bound_report(E, P, 12)
-    assert rep.iotas[u] == 3
+    assert rep.iotas[u] == k
     assert u in rep.t_ordinary
     assert not rep.mu_zero
     # equality, attained by iota - 1 + ord_u A with A a unit at u
@@ -417,8 +416,26 @@ def test_bound_report_known_tangency_off_s(p):
     (check,) = [c for c in rep.checks if c.name == "refined local bound at u"]
     assert check.ok
     assert check.detail == (
-        "ord(nu) = 2 >= min(p(iota-1) - ord D, iota - 1 + ord A) = 2 (iota=3)"
+        "ord(nu) = %d >= min(p(iota-1) - ord D, iota - 1 + ord A) = %d (iota=%d)"
+        % (k - 1, k - 1, k)
     )
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_bound_report_known_tangency_off_s(p):
+    _check_known_tangency(p, 3)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_bound_report_known_tangency_of_contact_four(p):
+    _check_known_tangency(p, 4)
+
+
+def test_bound_report_refuses_the_contact_five_cover_over_f5():
+    # the fiber at u = -2 is I20, and the bound needs p prime to 20
+    E, P = _tangent_legendre_cover(5, 5)
+    with pytest.raises(HypothesisError, match="p divides the component group order 20 at u \\+ 2"):
+        descent_bound_report(E, P, 12)
 
 
 def test_hasse_section_degree():
