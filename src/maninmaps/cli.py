@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 
 from . import elliptic, maninmap, pdescent
@@ -471,10 +472,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     code, payload = run(args.command, args.manifest, args)
-    if args.table:
-        print(_render_table(payload))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    text = _render_table(payload) if args.table else json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: quiet the final flush, exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

@@ -21,7 +21,10 @@ product coefficient fits 2, 4 or 8 bytes) and ``_divmod_mod``.  ``Poly``
 multiplication over F_p and over Z (modulo twice a coefficient bound),
 division over F_p, the F_p gcd for p >= 16 (each Euclid remainder is one
 ``_divmod_mod``), the multiplicity of a non-linear factor, Hensel lifting and
-factor recombination over Z/p^kZ all use them.  Two input-specific fast
+factor recombination over Z/p^kZ all use them.  ``_gcd_fp`` and ``_mul_mod``
+deflate past ``_DEFLATE_MIN`` terms: operands x^i h(x^e) sharing an e > 1,
+such as every psi_n on a Legendre cover t = c - s^2/b, run as h (``_deflation``);
+other inputs pass after an O(1) test.  Two input-specific fast
 paths sit beside them: the F_p gcd packs one coefficient per byte for
 p < 16, where a Euclid step cannot carry between bytes (every byte stays
 below p^2 <= 255), so each step is one big-integer update and one
@@ -570,6 +573,29 @@ def _sub_mod(a, b, m):
                   for i in range(n)])
 
 
+# operand pairs of at most this many terms in all are not deflated: the test
+# costs ~0.5 us, a deflated product over F_5..F_101 loses below ~130 terms,
+# and the small F_p gcds of factoring over Q made q-tangency ~3 % slower
+_DEFLATE_MIN = 128
+
+
+def _deflation(a, cap: int = 0) -> tuple:
+    """(i, e): a = x^i h(x^e), h(0) != 0, e largest dividing cap (0: any e).
+
+    y -> x^e is an injective ring map that multiplies degrees by e and keeps
+    leading coefficients, so it commutes with products and with division with
+    remainder, hence with Euclid: a b = x^(ia+ib) (ha hb)(x^e) and, as x divides
+    no h(x^e), gcd(a, b) = x^min(ia, ib) gcd(ha, hb)(x^e).  Both are unique, so
+    the lists are the same; a monomial has every e, so it returns e = cap.
+    """
+    nz = itertools.compress(itertools.count(), a)
+    i, j = next(nz, len(a)), next(nz, None)
+    e = cap if j is None else math.gcd(cap, j - i)
+    if e > 1 and any(any(a[i + r :: e]) for r in range(1, e)):
+        e = math.gcd(e, *[k - i for k in nz])
+    return i, e
+
+
 def _mul_mod(a, b, m: int) -> list:
     """Kronecker-substitution product; may carry trailing zeros when m is not prime.
 
@@ -581,6 +607,13 @@ def _mul_mod(a, b, m: int) -> list:
     """
     if not a or not b:
         return []
+    if len(a) + len(b) > _DEFLATE_MIN:
+        ia, e = _deflation(a)
+        ib, e = _deflation(b, e) if e != 1 else (0, 1)
+        if e > 1:
+            out, h = [0] * (len(a) + len(b) - 1), _mul_mod(a[ia::e], b[ib::e], m)
+            out[ia + ib : ia + ib + e * len(h) : e] = h
+            return out
     bound = min(len(a), len(b)) * (m - 1) * (m - 1)
     total = len(a) + len(b) - 1
     for size, code in _WORD_CODES:
@@ -616,6 +649,14 @@ def _divmod_mod(a, b, m: int):
 
 def _gcd_fp(a, b, p: int) -> list:
     """Monic gcd over F_p of reduced, trimmed coefficient sequences, as an int list."""
+    if a and b and len(a) + len(b) > _DEFLATE_MIN:
+        ia, e = _deflation(a)
+        ib, e = _deflation(b, e) if e != 1 else (0, 1)
+        if e > 1:
+            h, i = _gcd_fp(a[ia::e], b[ib::e], p), min(ia, ib)
+            out = [0] * (i + e * (len(h) - 1) + 1)
+            out[i::e] = h
+            return out
     if p < 16:
         return _gcd_bytes(a, b, p)
     while b:

@@ -121,6 +121,13 @@ def sextic_point_curve(p=5):
     return E, CurvePoint(E, u, u ** 3)
 
 
+def inflate(h, i, e):
+    """x^i h(x^e) as an ascending coefficient list."""
+    out = [0] * (i + e * (len(h) - 1) + 1)
+    out[i::e] = h
+    return out
+
+
 def place(K, ints):
     """Finite place from ascending integer coefficients."""
     return K.place(K.poly(ints))

@@ -224,6 +224,28 @@ def test_exit_two_on_undecodable_manifest_under_c_locale(tmp_path):
         assert b"Traceback" not in proc.stderr
 
 
+def test_closed_stdout_exits_141_without_traceback(tmp_path):
+    # mu on a cover over F_2003 writes about 14 kB into a pipe of 4 kB whose
+    # reader takes one byte and leaves, as `| head -c 1` would
+    fcntl = pytest.importorskip("fcntl")
+    man = tmp_path / "legendre-f2003.cfg"
+    man.write_text("[field]\ncharacteristic = 2003\n[curve]\ncubic = x^3 - (1+t)*x^2 + t*x\n"
+                   "[cover]\nt = 2 - s^2/2\n[points]\nP = 2, s\n")
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=str(MANIFESTS.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "maninmaps.cli", "mu", str(man)],
+                            stdout=w, stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    try:
+        assert os.read(r, 1) == b"{"
+    finally:
+        os.close(r)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert b"Traceback" not in err, err.decode("utf-8", "replace")
+
+
 def test_exit_two_on_non_ascii_option_integers(capsys):
     # int() would read "\u0661\u0662" and "1_2" as 12; the options follow the
     # manifest's rule: an optional "-" and ASCII digits

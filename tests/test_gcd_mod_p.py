@@ -4,7 +4,7 @@ Primes below 16 run the byte-packed Euclid, the others a Euclid whose
 remainders come from the shared `_divmod_mod` kernel.  `_gcd_fp` takes
 reduced, trimmed lists; `gcd_mod_p` here reduces integer lists mod p first.
 Each case is checked against sympy's GF(p) gcd and a plain Euclid written
-here.
+here, deflatable inputs x^i h(x^e) included.
 """
 
 import random
@@ -12,10 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from maninmaps import PrimeField, descent_bound_report, pdescent
 from maninmaps.cli import Manifest
 from maninmaps.pdescent import _division_values, _short_with_point
 import maninmaps.polynomials as polys
 from maninmaps.polynomials import _gcd_fp
+
+from conftest import inflate, legendre_cover_a
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -156,6 +159,114 @@ def test_division_value_of_degree_900(psi_44, p):
     # list read over F_17 for the `_divmod_mod` Euclid at this size
     dpsi = [i * c for i, c in enumerate(psi_44)][1:]
     check(psi_44, dpsi, p)
+
+
+# -- deflated inputs
+#
+# x^i h(x^e) and x^j k(x^f) share the gcd x^min(i, j) gcd(h, k)(x^e) when
+# e = f, and `_gcd_fp` computes it on h and k once the operands have more
+# than `_DEFLATE_MIN` terms in all; unequal exponents meet at gcd(e, f), and a
+# monomial deflates with any e.  Each case runs with the default threshold
+# and with every gcd deflated.
+
+DEFLATE_PRIMES = (5, 7, 11, 13, 17, 101, 2 ** 31 - 1)
+
+
+def derivative(a, p):
+    return _trim([k * c % p for k, c in enumerate(a)][1:])
+
+
+@pytest.mark.parametrize("deflate_min", (polys._DEFLATE_MIN, 0))
+@pytest.mark.parametrize("p", DEFLATE_PRIMES)
+def test_deflated_pairs(p, deflate_min, monkeypatch):
+    monkeypatch.setattr(polys, "_DEFLATE_MIN", deflate_min)
+    rng = random.Random(8000 + p)
+    for e in range(1, 7):
+        for i in range(4):
+            g = rand_poly(rng, p, rng.randrange(0, 4), monic=True)
+            h = mul(g, rand_poly(rng, p, rng.randrange(0, 8)), p)
+            k = mul(g, rand_poly(rng, p, rng.randrange(0, 8)), p)
+            a = inflate(h, i, e)
+            got = check(a, inflate(k, rng.randrange(4), e), p)
+            assert not any(plain_remainder(got, inflate(g, 0, e), p))
+            check(a, inflate(k, rng.randrange(4), rng.randrange(1, 7)), p)
+            check(a, derivative(a, p), p)  # the scan's squarefree test
+
+
+@pytest.mark.parametrize("deflate_min", (polys._DEFLATE_MIN, 0))
+@pytest.mark.parametrize("p", DEFLATE_PRIMES)
+def test_deflated_monomial_and_empty_operands(p, deflate_min, monkeypatch):
+    monkeypatch.setattr(polys, "_DEFLATE_MIN", deflate_min)
+    rng = random.Random(9000 + p)
+    for e in range(1, 7):
+        for i in range(4):
+            a = inflate([1] + rand_poly(rng, p, rng.randrange(0, 5)), i, e)
+            for j in range(4):
+                assert check(a, [0] * j + [rng.randrange(1, p)], p) == [0] * min(i, j) + [1]
+            assert check(a, [], p) == check([], a, p) == check(a, a, p)
+    assert check([0, 0, 3], [0, 0, 0, 0, 5], p) == [0, 0, 1]
+
+
+@pytest.mark.parametrize("deflate_min", (polys._DEFLATE_MIN, 0))
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 101))
+def test_deflated_by_a_multiple_of_p(p, deflate_min, monkeypatch):
+    # a = x^i h(x^p) has derivative i x^(i-1) h(x^p): zero at i = 0, so the
+    # squarefree test's gcd is a itself
+    monkeypatch.setattr(polys, "_DEFLATE_MIN", deflate_min)
+    rng = random.Random(10000 + p)
+    for i in range(4):
+        a = inflate(rand_poly(rng, p, rng.randrange(1, 5)), i, p)
+        assert check(a, derivative(a, p), p) == check(a, [0] * max(0, i - 1) + a[i:], p)
+
+
+def squarefree_operands(monkeypatch, E, P, n_max):
+    """(lengths of f and f', lengths of the operands reaching the byte Euclid)
+    for each squarefree test gcd(f, f') of the scan in ``descent_bound_report``."""
+    seen, scanning, testing = [], [], []
+    gcd, gcd_bytes, scan = polys.Poly.gcd, polys._gcd_bytes, pdescent.tangency_scan
+
+    def spy_scan(*args, **kwargs):
+        scanning.append(True)
+        try:
+            return scan(*args, **kwargs)
+        finally:
+            scanning.pop()
+
+    def spy_gcd(self, other):
+        testing.append((self, other) if scanning and other == self.derivative() else None)
+        try:
+            return gcd(self, other)
+        finally:
+            testing.pop()
+
+    def spy_bytes(a, b, p):
+        if testing and testing[-1] is not None:
+            f, df = testing[-1]
+            seen.append((len(f.terms), len(df.terms), len(a), len(b)))
+        return gcd_bytes(a, b, p)
+
+    monkeypatch.setattr(polys.Poly, "gcd", spy_gcd)
+    monkeypatch.setattr(polys, "_gcd_bytes", spy_bytes)
+    monkeypatch.setattr(pdescent, "tangency_scan", spy_scan)
+    polys._FACTOR_CACHE.clear()
+    descent_bound_report(E, P, n_max=n_max)
+    monkeypatch.undo()
+    return seen
+
+
+def test_squarefree_test_runs_at_half_length_on_a_legendre_cover(monkeypatch):
+    # on the cover every psi_n is s^i h(s^2), so each scan gcd(f, f') past the
+    # deflation threshold runs on (h, 2h'); the bundled charp-3x curve has no
+    # such structure, and its operands keep their full length
+    E, P, _ = legendre_cover_a(PrimeField(7), 3)
+    seen = [s for s in squarefree_operands(monkeypatch, E, P, 30)
+            if s[0] + s[1] > polys._DEFLATE_MIN]
+    assert len(seen) >= 10 and max(n for n, *_ in seen) > 300
+    assert all(max(la, lb) <= n // 2 + 1 for n, _, la, lb in seen)
+    man = Manifest(str(MANIFESTS / "charp-3x.cfg"))
+    seen = squarefree_operands(monkeypatch, man.model, man.pick_point(), 30)
+    assert len([s for s in seen if s[0] + s[1] > polys._DEFLATE_MIN]) >= 10
+    assert all(la == n for n, _, la, _ in seen)
 
 
 # -- the byte kernel's two step shapes

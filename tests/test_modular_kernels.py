@@ -2,7 +2,8 @@
 
 ``_divmod_mod`` is checked against sympy's GF(p) division and, with
 ``_mul_mod``, against plain integer loops modulo prime powers; ``_mul_mod``
-also on both sides of each of its packing widths.  ``Poly.xgcd``
+also on both sides of each of its packing widths, and on deflatable operands
+x^i h(x^e) against sympy's GF(p) product and plain loops mod p^k.  ``Poly.xgcd``
 is checked by its Bezout identity over Q and F_p and through residue-field
 inverses; ``factor`` over Q, whose Hensel lifting and recombination run on
 these kernels modulo p^k, is checked against sympy's ``factor_list``, and
@@ -10,6 +11,7 @@ its subset recombination against its cap.  The gcd over Q is checked on an
 input whose gcd has a coefficient of 1,427 bits.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +27,8 @@ from maninmaps.polynomials import (
     _mul_mod,
     factor,
 )
+
+from conftest import inflate
 
 SYMPY_PRIMES = (5, 7, 11, 2 ** 31 - 1)
 PRIME_POWERS = (5 ** 3, 7 ** 5, 11 ** 9, 3 ** 40)
@@ -150,6 +154,67 @@ def test_mul_mod_empty_operands(m):
 def test_mul_mod_keeps_zero_divisor_products():
     # 5 * 25 = 0 mod 125: the product may end in zeros, which callers trim
     assert _trim(_mul_mod([1, 5], [2, 25], 125)) == [2, 35]
+
+
+# -- deflated products
+#
+# x^i h(x^e) times x^j k(x^e) is x^(i+j) (h k)(x^e); `_mul_mod` multiplies h k
+# once the operands have more than `_DEFLATE_MIN` terms in all, so each case
+# runs with the default and with every product deflated.
+
+DEFLATE_PRIMES = (5, 7, 11, 13, 17, 101, 2 ** 31 - 1)
+
+
+def deflatable_pairs(rng, m, top):
+    """Pairs x^i h(x^e), x^j k(x^f) for e in 1..6, with f = e and f drawn, a
+    monomial and an empty operand; h and k end in top(), their other
+    coefficients drawn mod m."""
+    def poly(e, i):
+        return inflate(random_list(rng, m, rng.randrange(0, 40)) + [top()], i, e)
+
+    for e in range(1, 7):
+        for i in range(4):
+            a = poly(e, i)
+            yield a, poly(e, rng.randrange(4))
+            yield a, poly(rng.randrange(1, 7), rng.randrange(4))
+            yield a, [0] * rng.randrange(4) + [top()]
+            yield a, []
+    yield [0, 0, top()], [0, top()]
+
+
+def sympy_mul(a, b, p):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    da = galoistools.gf_strip([ZZ(c) for c in reversed(a)])
+    db = galoistools.gf_strip([ZZ(c) for c in reversed(b)])
+    return [int(c) for c in reversed(galoistools.gf_mul(da, db, p, ZZ))]
+
+
+@pytest.mark.parametrize("deflate_min", (polys._DEFLATE_MIN, 0))
+@pytest.mark.parametrize("p", DEFLATE_PRIMES)
+def test_mul_mod_deflated_matches_sympy(p, deflate_min, monkeypatch):
+    monkeypatch.setattr(polys, "_DEFLATE_MIN", deflate_min)
+    rng = random.Random(p)
+    for a, b in deflatable_pairs(rng, p, lambda: rng.randrange(1, p)):
+        assert _mul_mod(a, b, p) == _mul_mod(b, a, p) == sympy_mul(a, b, p)
+
+
+@pytest.mark.parametrize("deflate_min", (polys._DEFLATE_MIN, 0))
+@pytest.mark.parametrize("m", PRIME_POWERS)
+def test_mul_mod_deflated_keeps_trailing_zeros(m, deflate_min, monkeypatch):
+    # leading coefficients p^a u and p^b v with a + b >= k make the product
+    # end in zeros mod m = p^k; the kernel keeps len(a) + len(b) - 1 entries
+    monkeypatch.setattr(polys, "_DEFLATE_MIN", deflate_min)
+    p = next(q for q in (3, 5, 7, 11) if m % q == 0)
+    k = round(math.log(m, p))
+    rng = random.Random(m % 991)
+    top = lambda: p ** rng.randrange(k // 2, k) * rng.randrange(1, p)  # noqa: E731
+    for a, b in deflatable_pairs(rng, m, top):
+        for x, y in ((a, b), (b, a), (a + [0, 0], b)):
+            got = _mul_mod(x, y, m)
+            assert len(got) == (len(x) + len(y) - 1 if x and y else 0)
+            assert _trim(got) == plain_mul(x, y, m)
 
 
 @pytest.mark.parametrize("m", PRIME_POWERS)
