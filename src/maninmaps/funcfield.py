@@ -33,7 +33,7 @@ import operator
 from functools import cached_property
 
 from .errors import ConsistencyError, InputError, ParseError
-from .polynomials import Poly, _DensePoly, factor, is_irreducible
+from .polynomials import Poly, _DensePoly, _str_int, factor, is_irreducible
 
 INF = float("inf")
 
@@ -650,10 +650,7 @@ def _tokenize(text: str) -> list:
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            try:
-                tokens.append(("int", int(text[i:j]), i))
-            except ValueError:  # past the interpreter's digit limit
-                raise ParseError("integer literal of %d digits is too long" % (j - i), i)
+            tokens.append(("int", _str_int(text[i:j]), i))
             i = j
             continue
         if c.isalpha() or c == "_":

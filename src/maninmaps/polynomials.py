@@ -1,15 +1,18 @@
 """Exact univariate polynomial arithmetic over Q and F_p.
 
-A :class:`Poly` is ``content * sum(terms[i] x^i)`` for a dense ascending
-tuple ``terms`` with no trailing zeros (empty for zero).  Over F_p the terms
-are the residues in [0, p) and ``content`` is None; over Q they are
-primitive integers with a positive leading one and ``content`` is a
-``Fraction``.  Forms are canonical, so structural equality is mathematical
-equality.  Over Q, by Gauss's lemma, a product is the product of the
-primitive parts under the product of the contents, ``scale`` and ``monic``
-change only the content, and a sum is made primitive with one ``math.gcd``;
-``coeffs`` builds the Fraction coefficients on demand.  The body of a dense
-polynomial (constructors, degree, equality, ``monic`` and the ring
+A :class:`Poly` is ``content * sum(terms[i] x^i)`` for a dense ascending tuple
+``terms`` with no trailing zeros (empty for zero).  Over F_p the terms are the
+residues in [0, p) and ``content`` is None; over Q they are primitive integers
+with a positive leading one and ``content`` is a reduced pair (n, d) of ints,
+d > 0, zero (0, 1).  Forms are canonical, so structural equality is
+mathematical equality.  Over Q, by Gauss's lemma, a product is the product of
+the primitive parts under the product of the contents (``_qmul``, integer
+cross gcds), ``scale`` and ``monic`` change only the content, and a sum is
+made primitive with one ``math.gcd``; a ``Fraction`` is built only where a
+coefficient leaves a ``Poly`` (``coeffs``, ``leading``, ``p[i]``,
+``evaluate``), and ``to_str`` prints from the integers with ``_int_str``,
+which ``_str_int`` inverts, both past the interpreter's digit limit.  The body
+of a dense polynomial (constructors, degree, equality, ``monic`` and the ring
 operations) lives in the private base ``_DensePoly``, which
 ``funcfield.XPoly`` shares; over F_p each result is reduced once mod p.
 
@@ -88,6 +91,25 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _int_str(n: int) -> str:
+    """str(n) at any size: past the interpreter's digit limit, by halves at 10^k."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
+        q, r = divmod(abs(n), 10 ** k)
+        return "-" * (n < 0) + _int_str(q) + _int_str(r).zfill(k)
+
+
+def _str_int(s: str) -> int:
+    """int(s) for a run of ASCII digits at any size, the inverse of _int_str."""
+    try:
+        return int(s)
+    except ValueError:  # only the digit limit: s has over 640 digits
+        k = len(s) // 2
+        return _str_int(s[:-k]) * 10 ** k + _str_int(s[-k:])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +234,7 @@ class _DensePoly:
     def coeffs(self) -> tuple:
         """The coefficients in ``field``, ascending (built on demand over Q)."""
         c = self.content
-        return self.terms if c is None else tuple(c * n for n in self.terms)
+        return self.terms if c is None else tuple(Fraction(c[0] * t, c[1]) for t in self.terms)
 
     @property
     def degree(self) -> int:
@@ -224,7 +246,7 @@ class _DensePoly:
 
     def is_one(self) -> bool:
         t, c = self.terms, self.content
-        return len(t) == 1 and (t[0] == self.field.one if c is None else c == 1)
+        return len(t) == 1 and (t[0] == self.field.one if c is None else c == (1, 1))
 
     def is_constant(self) -> bool:
         return len(self.terms) <= 1
@@ -232,12 +254,13 @@ class _DensePoly:
     @property
     def leading(self):
         t, c = self.terms, self.content
-        return (t[-1] if c is None else c * t[-1]) if t else self.field.zero
+        return (t[-1] if c is None else Fraction(c[0] * t[-1], c[1])) if t else self.field.zero
 
     def __getitem__(self, i):
-        if not 0 <= i < len(self.terms):
+        t, c = self.terms, self.content
+        if not 0 <= i < len(t):
             return self.field.zero
-        return self.terms[i] if self.content is None else self.content * self.terms[i]
+        return t[i] if c is None else Fraction(c[0] * t[i], c[1])
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.field == other.field
@@ -324,7 +347,7 @@ class Poly(_DensePoly):
             d = math.lcm(*[c.denominator for c in cs])
             ints = [c.numerator * (d // c.denominator) for c in cs]
             self.terms = tuple(_primitive(ints))
-            self.content = Fraction(ints[-1] // self.terms[-1] if ints else 0, d)
+            self.content = _qmul((ints[-1] // self.terms[-1] if ints else 0, 1), (1, d))
 
     def _new(self, cs: list, content=None):
         """cs mod p over F_p; over Q, content (default: this one's) * cs with one gcd."""
@@ -334,7 +357,7 @@ class Poly(_DensePoly):
         prim = _primitive(_trim(cs))
         g = cs[-1] // prim[-1] if prim else 0
         content = self.content if content is None else content
-        return _qpoly(self.field, prim, content if g == 1 else content * g)
+        return _qpoly(self.field, prim, content if g == 1 else _qmul(content, (g, 1)))
 
     def __add__(self, other):
         if self.content is None:
@@ -343,29 +366,29 @@ class Poly(_DensePoly):
         (A, ca), (B, cb) = (self.terms, self.content), (other.terms, other.content)
         if not A or not B:
             return self if A else other
-        (na, da), (nb, db) = ca.as_integer_ratio(), cb.as_integer_ratio()
-        g, d = math.gcd(na, nb), math.lcm(da, db)
+        (na, da), (nb, db) = ca, cb
+        g, d = math.gcd(na, nb), math.lcm(da, db)  # a prime of g divides no da, db
         ma, mb = na // g * (d // da), nb // g * (d // db)
         out = [ma * c for c in A] + [0] * (len(B) - len(A))
         for i, c in enumerate(B):
             out[i] += mb * c
-        return self._new(out, Fraction(g, d))
+        return self._new(out, (g, d))
 
     def __sub__(self, other):
         if self.content is None:
             return _DensePoly.__sub__(self, other)
-        return self + _qpoly(self.field, other.terms, -other.content)
+        return self + _qpoly(self.field, other.terms, (-other.content[0], other.content[1]))
 
     def scale(self, c):
         if self.content is None:
             return _DensePoly.scale(self, c)
-        c *= self.content
-        return _qpoly(self.field, self.terms if c else (), c)
+        c = _qmul((c.numerator, c.denominator), self.content)
+        return _qpoly(self.field, self.terms if c[0] else (), c)
 
     def monic(self):
         if self.content is None or not self.terms:
             return _DensePoly.monic(self)
-        return _qpoly(self.field, self.terms, Fraction(1, self.terms[-1]))
+        return _qpoly(self.field, self.terms, (1, self.terms[-1]))
 
     def derivative(self):
         if self.content is None:
@@ -378,7 +401,7 @@ class Poly(_DensePoly):
         """The constant c; over Q built in canonical form, the sign in the content."""
         if field.char:
             return cls(field, (c,))
-        return _qpoly(field, (1,) if c else (), Fraction(c))
+        return _qpoly(field, (1,) if c else (), (c.numerator, c.denominator))
 
     @classmethod
     def from_int_coeffs(cls, field, ints):
@@ -392,7 +415,7 @@ class Poly(_DensePoly):
         if not f.char:
             # Gauss's lemma: a product of primitive parts is primitive, lc > 0
             ab = b if len(a) == 1 else a if len(b) == 1 else _mul_int(a, b)
-            return _qpoly(f, ab, self.content * other.content)
+            return _qpoly(f, ab, _qmul(self.content, other.content))
         if len(a) == 1:
             return other.scale(a[0])
         if len(b) == 1:
@@ -403,19 +426,22 @@ class Poly(_DensePoly):
         f = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if other.is_constant():
-            inv = f.inv(other.leading)
-            return self.scale(inv), Poly.zero(f)
         if f.char:
+            if other.is_constant():
+                return self.scale(f.inv(other.leading)), Poly.zero(f)
             q, r = _divmod_mod(self.terms, other.terms, f.p)
             return Poly(f, q), Poly(f, r)
         # lc(B)^(deg A - deg B + 1) * A divides exactly by B over Z
         # (pseudo-division); the contents are restored at the end
         A, B = self.terms, other.terms
+        n, d = other.content
+        inv = (d, n) if n > 0 else (-d, -n)
+        if len(B) == 1:
+            return _qpoly(f, A, _qmul(self.content, inv)), Poly.zero(f)
         s = B[-1] ** max(0, len(A) - len(B) + 1)
         Q, R = _divmod_int_poly([s * c for c in A], B)
-        c = self.content / s
-        return self._new(Q, c / other.content), self._new(R, c)
+        c = _qmul(self.content, (1, s))
+        return self._new(Q, _qmul(c, inv)), self._new(R, c)
 
     def multiplicity_of(self, other) -> int:
         """Largest k with other**k dividing self (self nonzero, other non-constant)."""
@@ -467,8 +493,8 @@ class Poly(_DensePoly):
         else:
             return self, self, other
         f, lc = self.field, G[-1]
-        return (_qpoly(f, G, Fraction(1, lc)), _qpoly(f, qa, self.content * lc),
-                _qpoly(f, qb, other.content * lc))
+        return (_qpoly(f, G, (1, lc)), _qpoly(f, qa, _qmul(self.content, (lc, 1))),
+                _qpoly(f, qb, _qmul(other.content, (lc, 1))))
 
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g, the monic gcd; not both zero."""
@@ -485,23 +511,22 @@ class Poly(_DensePoly):
         return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
     def to_str(self, var: str) -> str:
-        f = self.field
+        """Terms from the top; over Q each is n t_i / d reduced, as ``str(Fraction)``."""
         if self.is_zero():
             return "0"
+        n, d = self.content or (1, 1)
         parts = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
-            if c == f.zero:
+        for i in range(len(self.terms) - 1, -1, -1):
+            a = n * self.terms[i]
+            if not a:
                 continue
+            g = math.gcd(a, d)
+            c = _int_str(a // g) + ("" if g == d else "/" + _int_str(d // g))
             if i == 0:
-                mon = str(c)
+                mon = c
             else:
                 xi = var if i == 1 else "%s^%d" % (var, i)
-                if c == f.one:
-                    mon = xi
-                elif f.char == 0 and c == -f.one:
-                    mon = "-" + xi
-                else:
-                    mon = "%s*%s" % (c, xi)
+                mon = xi if c == "1" else "-" + xi if c == "-1" else c + "*" + xi
             parts.append(mon)
         out = parts[0]
         for part in parts[1:]:
@@ -721,6 +746,16 @@ def _qpoly(field, terms, content) -> Poly:
     return f
 
 
+def _qmul(a: tuple, b: tuple) -> tuple:
+    """The reduced product of reduced pairs (n, d), d > 0, by two cross gcds
+    (Knuth, TAOCP vol. 2, 4.5.1), or none when both denominators are 1."""
+    (na, da), (nb, db) = a, b
+    if da == db == 1:
+        return na * nb, 1
+    ga, gb = math.gcd(na, db), math.gcd(nb, da)
+    return na // ga * (nb // gb), da // gb * (db // ga)
+
+
 def _divmod_int_poly(a: list, b: list):
     """(quotient, remainder) of integer lists if the quotient over Q is integral,
     else (None, None)."""
@@ -883,10 +918,7 @@ def _edf(f: Poly, d: int) -> list:
 
 
 def _factor_fp_squarefree(f: Poly) -> list:
-    out = []
-    for part, d in _ddf(f):
-        out.extend(_edf(part, d))
-    return out
+    return [g for part, d in _ddf(f) for g in _edf(part, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -983,18 +1015,20 @@ def _factor_zz_squarefree(ints: list) -> list:
         if ints[-1] % p:
             fp = Poly.from_int_coeffs(PrimeField(p), ints).monic()
             if fp.gcd(fp.derivative()).degree == 0:
-                facs = _factor_fp_squarefree(fp)
-                if len(facs) == 1:
+                parts = _ddf(fp)  # EDF runs only for the prime with fewest factors
+                count = sum(g.degree // d for g, d in parts)
+                if count == 1:
                     return [_primitive(ints)]
-                if best is None or len(facs) < len(best[1]):
-                    best = (p, facs)
+                if best is None or count < best[1]:
+                    best = (p, count, parts)
                 usable += 1
                 continue
         unusable *= p
         if best is None and unusable > unusable_bound:
             raise InputError("no usable prime found: the polynomial is not squarefree")
-    p, facs = best
-    facs = sorted(facs, key=lambda g: (g.degree, g.coeffs))
+    p, _, parts = best
+    facs = sorted((g for part, d in parts for g in _edf(part, d)),
+                  key=lambda g: (g.degree, g.coeffs))
     bound = (1 << n) * (math.isqrt(norm2) + 1) * abs(ints[-1])
     lifted, m = _hensel_lift(ints, facs, p, 2 * bound + 1)
     return _recombine(ints, lifted, m)
@@ -1065,7 +1099,7 @@ def factor(f: Poly) -> list:
     found: dict = {}
     for part, mult in squarefree_decomposition(f):
         if f.field.char == 0:  # the monic multiples of the integer factors
-            irreds = [_qpoly(f.field, g, Fraction(1, g[-1]))
+            irreds = [_qpoly(f.field, g, (1, g[-1]))
                       for g in _factor_zz_squarefree(part.terms)]
         else:
             irreds = _factor_fp_squarefree(part)

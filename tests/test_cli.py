@@ -173,15 +173,53 @@ def test_exit_two_on_syntax_error(capsys, tmp_path):
 
 
 def test_exit_two_on_unreadable_integers(capsys, tmp_path):
-    for name, cubic in (("superscript", "x^3 + t*x^\u00b2"), ("long", "x^3 + " + "7" * 5000)):
-        bad = tmp_path / (name + ".cfg")
-        bad.write_text(
-            "[field]\ncharacteristic = 0\n[curve]\nvariable = t\ncubic = %s\n" % cubic,
-            encoding="utf-8",
-        )
-        code, doc = run_json(capsys, "invariants", str(bad))
-        assert code == 2
-        assert "error" in doc
+    bad = tmp_path / "superscript.cfg"
+    bad.write_text("[field]\ncharacteristic = 0\n[curve]\nvariable = t\n"
+                   "cubic = x^3 + t*x^\u00b2\n", encoding="utf-8")
+    code, doc = run_json(capsys, "invariants", str(bad))
+    assert code == 2
+    assert "error" in doc
+
+
+# 4,000-digit coefficients: the discriminant prints 24,033 characters, past
+# CPython's default limit of 4,300 digits for int/str conversions
+BIG_CUBIC = "[curve]\ncubic = x^3 - x + %s*t^2 + %s*t\n" % ("9" * 4000, "7" * 4000)
+
+
+def test_integers_past_the_digit_limit_parse_and_print(capsys, tmp_path):
+    # a literal's own length is its only bound: it parses to its exact value,
+    # and every printed value re-parses to itself
+    long = tmp_path / "long.cfg"
+    long.write_text("[curve]\nvariable = t\ncubic = x^3 + %s\n" % ("7" * 5000))
+    code, doc = run_json(capsys, "invariants", str(long))
+    K = FunctionField(QQ, "t")
+    assert code == 0
+    b = 7 * (10 ** 5000 - 1) // 9
+    assert parse_element(doc["results"]["discriminant"], K) == K.from_int(-432 * b * b)
+    big = tmp_path / "big.cfg"
+    big.write_text(BIG_CUBIC)
+    code, doc = run_json(capsys, "invariants", str(big))
+    assert code == 0
+    for key in ("discriminant", "j_invariant"):
+        value = doc["results"][key]
+        assert str(parse_element(value, K)) == value
+
+
+def test_output_does_not_depend_on_the_digit_limit(tmp_path):
+    # PYTHONINTMAXSTRDIGITS sets the interpreter's limit (640 is its least
+    # nonzero value, 0 lifts it); the bytes must be the same under each
+    big = tmp_path / "big.cfg"
+    big.write_text(BIG_CUBIC)
+    env = dict(os.environ, PYTHONPATH=str(MANIFESTS.parent / "src"))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    outs = []
+    for limit in ("640", None, "0"):
+        proc = subprocess.run([sys.executable, "-m", "maninmaps.cli", "invariants", str(big)],
+                              capture_output=True, timeout=120,
+                              env=env if limit is None else dict(env, PYTHONINTMAXSTRDIGITS=limit))
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_exit_two_on_non_ascii_manifest_integers(capsys, tmp_path):

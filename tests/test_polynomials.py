@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from maninmaps.errors import InputError
 from maninmaps.polynomials import (
     _PRIME_BOUND,
+    _int_str,
+    _str_int,
     Poly,
     PrimeField,
     QQ,
@@ -291,3 +294,20 @@ def test_powmod_squares_no_further_than_the_top_bit(monkeypatch):
     assert _powmod(base, 6, mod) == expected
     assert len(calls) == 3  # two squarings, one product
 
+
+@pytest.mark.parametrize("n", [0, 7, -1, 10 ** 4300, -(10 ** 5000 + 1), 3 ** 40000,
+                               -(7 * 10 ** 9000 + 3), 10 ** 20000 - 1],
+                         ids=lambda n: "%d bits" % n.bit_length())
+def test_decimal_conversions_ignore_the_digit_limit(n):
+    # internal and trailing zeros cross the split points; the reference is
+    # str/int with the interpreter's limit lifted here only
+    text = _int_str(n)
+    assert _str_int(text.lstrip("-")) == abs(n)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert text == str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

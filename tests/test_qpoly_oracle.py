@@ -1,11 +1,12 @@
 """``Poly`` over Q on its integer form against the Fraction-tuple oracle.
 
 A Q polynomial stores a primitive integer tuple with a positive leading entry
-under one rational content.  Every operation must give the coefficients
-``qpoly_oracle`` computes on plain Fraction tuples, and every result must be
-in that canonical form, on inputs drawn with zero, constants, negative
-leading coefficients and 200-digit numerators and denominators, built from
-ints and from Fractions.
+under one rational content, the reduced pair (n, d) of ints.  Every operation
+must give the coefficients ``qpoly_oracle`` computes on plain Fraction tuples,
+every result must be in that canonical form, and every coefficient read out
+must be a Fraction, on inputs drawn with zero, constants, negative leading
+coefficients and 200-digit numerators and denominators, built from ints and
+from Fractions.
 """
 
 import math
@@ -31,11 +32,13 @@ coeff_lists = st.lists(coeff, max_size=6)
 def canonical(p: Poly) -> Poly:
     """p, after checking its integer form."""
     assert type(p.terms) is tuple and all(type(c) is int for c in p.terms)
-    assert type(p.content) is Fraction
+    assert type(p.content) is tuple and [type(c) for c in p.content] == [int, int]
+    n, d = p.content
+    assert d > 0 and math.gcd(n, d) == 1
     if not p.terms:
-        assert p.content == 0
+        assert p.content == (0, 1)
     else:
-        assert math.gcd(*p.terms) == 1 and p.terms[-1] > 0 and p.content != 0
+        assert math.gcd(*p.terms) == 1 and p.terms[-1] > 0 and n != 0
     assert all(type(c) is Fraction for c in p.coeffs)
     return p
 
@@ -69,7 +72,11 @@ def test_scale_evaluate_and_print_match_oracle(a, c):
     assert pa.evaluate(Fraction(c)) == oracle.evaluate(oa, Fraction(c))
     assert type(pa.evaluate(Fraction(c))) is Fraction
     assert pa.to_str("t") == oracle.to_str(oa, "t")
-    assert pa.leading == (oa[-1] if oa else 0)
+    assert pa.leading == (oa[-1] if oa else 0) and type(pa.leading) is Fraction
+    for i in range(len(oa) + 1):
+        assert pa[i] == (oa[i] if i < len(oa) else 0) and type(pa[i]) is Fraction
+    const = canonical(Poly.const(QQ, c))
+    assert const.coeffs == oracle.poly([c]) and type(const.leading) is Fraction
 
 
 @settings(max_examples=100, deadline=None)
@@ -89,7 +96,12 @@ def test_gcd_and_multiplicity_match_oracle(g, u, w, k):
     og = oracle.poly(g)
     a, b = oracle.mul(og, oracle.poly(u)), oracle.mul(og, oracle.poly(w))
     pa, pb = q(a), q(b)
-    assert canonical(pa.gcd(pb)).coeffs == oracle.gcd(a, b)
+    h, qa, qb = pa.cofactors(pb)
+    oh = oracle.gcd(a, b)
+    assert canonical(pa.gcd(pb)).coeffs == canonical(h).coeffs == oh
+    if oh:
+        assert canonical(qa).coeffs == oracle.divmod_(a, oh)[0]
+        assert canonical(qb).coeffs == oracle.divmod_(b, oh)[0]
     assume(len(og) > 1 and oracle.poly(u))
     f = oracle.poly(u)
     for _ in range(k):
