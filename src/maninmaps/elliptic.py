@@ -5,10 +5,12 @@ K = k(t), char k = 0 or > 3.  The short form (c2 = 0) is required by the
 characteristic-p machinery; ``depress`` converts, shifting points along.
 
 Local data (twist exponents, Kodaira types, intersection numbers with the
-zero section) is computed place by place without building a second model:
-a quantity of weight w on the v-minimal model has order ord_v + w k_v, where
-k_v is the twist exponent.  The orders of c4 and the discriminant classify
-all fiber types away from residue characteristic 2 and 3.
+zero section) is read without building a second model: a quantity of weight
+w on the v-minimal model has order ord_v + w k_v, where k_v is the twist
+exponent.  ``_fiber`` alone turns the orders of a4, a6 and the discriminant
+into k_v and the fiber type (Tate, away from residue characteristic 2 and 3);
+readers of many places take those orders from one divisor-kernel pass,
+``_fibers``, and readers of one place from ``ord_at``.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from .funcfield import (
     Place,
     RatX,
     XPoly,
+    _local_orders,
     eval_ast,
     ord_at,
     parse_ast,
-    support_places,
 )
 from .polynomials import _power
 
@@ -331,61 +333,64 @@ def twist_exponent(E: WeierstrassModel, v: Place) -> int:
     return _twist(ord_at(E.a4, v), ord_at(E.a6, v))
 
 
-def kodaira_type(E: WeierstrassModel, v: Place) -> KodairaType:
-    """Fiber type from (ord c4, ord disc) on the v-minimal model.
-
-    Twisting by pi^k multiplies the discriminant by pi^12k and, on a short
-    model where c4 = -48 a4, c4 by pi^4k; no minimal model is built.
-    """
-    E = E.depress()[0]
-    k = twist_exponent(E, v)
-    d = ord_at(E.discriminant(), v) + 12 * k
+def _fiber(v: Place, o4, o6, od) -> tuple:
+    """(k_v, fiber type) from ord_v of a4, a6 and Delta on a short model, by
+    (ord c4, ord disc) on the v-minimal model: twisting by pi^k multiplies the
+    discriminant by pi^12k and, as c4 = -48 a4, c4 by pi^4k."""
+    k = _twist(o4, o6)
+    d = od + 12 * k
     if d == 0:
-        return KodairaType("I", 0)
-    a = ord_at(E.a4, v) + 4 * k
+        return k, KodairaType("I", 0)
+    a = o4 + 4 * k
     if a == 0:
-        return KodairaType("I", d)
+        return k, KodairaType("I", d)
     if 3 * a < d:
         # j has a pole but the fiber is additive: a quadratic twist of I_(d-6)
         if d - 6 < 1:
             raise ConsistencyError("impossible valuations (%s, %s) at %s" % (a, d, v))
-        return KodairaType("I*", d - 6)
-    table = {2: "II", 3: "III", 4: "IV", 8: "IV*", 9: "III*", 10: "II*"}
-    if d == 6:
-        return KodairaType("I*", 0)
+        return k, KodairaType("I*", d - 6)
+    table = {2: "II", 3: "III", 4: "IV", 6: "I*", 8: "IV*", 9: "III*", 10: "II*"}
     if d in table:
-        return KodairaType(table[d])
+        return k, KodairaType(table[d])
     raise ConsistencyError("no fiber type for ord(disc) = %s at %s" % (d, v))
+
+
+def _fiber_at(E: WeierstrassModel, v: Place) -> tuple:
+    """(k_v, fiber type) at one place, every order counted by ``ord_at``."""
+    E = E.depress()[0]
+    return _fiber(v, ord_at(E.a4, v), ord_at(E.a6, v), ord_at(E.discriminant(), v))
+
+
+def _fibers(E: WeierstrassModel) -> list:
+    """[(v, k_v, fiber type)] over the curve places, sorted, from one
+    ``_local_orders`` call (k_v = 0 and the fiber is I0 elsewhere).  On a valid
+    model ``_fiber`` cannot raise, so classifying every place changes no outcome."""
+    E = E.depress()[0]
+    orders = _local_orders(E.a4, E.a6, E.discriminant())
+    return sorted(((v, *_fiber(v, *o)) for v, o in orders.items()), key=lambda f: f[0].sort_key())
+
+
+def kodaira_type(E: WeierstrassModel, v: Place) -> KodairaType:
+    """Fiber type at v, from the orders of a4, a6 and the discriminant."""
+    return _fiber_at(E, v)[1]
 
 
 def curve_places(E: WeierstrassModel) -> list:
     """Places where anything local can happen, sorted: the support of the
     coefficients and of the discriminant, and infinity."""
-    E = E.depress()[0]
-    places = support_places(E.a4, E.a6, E.discriminant())
-    return sorted(places, key=lambda p: p.sort_key())
+    return [v for v, _, _ in _fibers(E)]
 
 
 def bad_places(E: WeierstrassModel) -> list:
     """[(Place, KodairaType)] over the places of bad reduction."""
-    out = []
-    for v in curve_places(E):
-        ktype = kodaira_type(E, v)
-        if not ktype.is_good:
-            out.append((v, ktype))
-    return out
+    return [(v, ktype) for v, _, ktype in _fibers(E) if not ktype.is_good]
 
 
 def deg_omega(E: WeierstrassModel) -> int:
-    """Degree of the sheaf of invariant differentials: (1/12) sum ord(disc_min)."""
-    E = E.depress()[0]
-    disc = E.discriminant()
-    total = 0
-    for v in curve_places(E):
-        total += v.degree * (ord_at(disc, v) + 12 * twist_exponent(E, v))
-    if total % 12:
-        raise ConsistencyError("sum of minimal discriminant orders is not 12-divisible")
-    return total // 12
+    """Degree of the sheaf of invariant differentials: sum deg(v) k_v, as
+    Delta_min = Delta pi_v^(12 k_v) and div Delta has degree 0.  k_v is read by
+    trial division, so the degree check of ``sections.divisor`` stays independent."""
+    return sum(v.degree * twist_exponent(E, v) for v in curve_places(E))
 
 
 def intersection_with_zero(E: WeierstrassModel, P: CurvePoint, v: Place) -> int:
@@ -396,14 +401,12 @@ def intersection_with_zero(E: WeierstrassModel, P: CurvePoint, v: Place) -> int:
     """
     if P.is_zero:
         raise InputError("the zero section meets itself everywhere")
-    ktype = kodaira_type(E, v)
+    k, ktype = _fiber_at(E, v)
     if ktype.is_additive:
         raise HypothesisError(
             "intersection with the zero section needs semistable reduction at %s" % v
         )
-    Eshort, shift = E.depress()
-    k = twist_exponent(Eshort, v)
-    ox = ord_at((P.x + shift), v) + 2 * k
+    ox = ord_at(P.x + E.depress()[1], v) + 2 * k
     if ox >= 0:
         return 0
     oy = ord_at(P.y, v) + 3 * k

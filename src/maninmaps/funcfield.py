@@ -5,8 +5,10 @@ place is either a monic irreducible polynomial or the point at infinity, and
 every valuation is a multiplicity count.  Degrees of places weight every
 global count, which is how closed points over a non-algebraically-closed
 constant field are handled.  ``divisor_of_function``, the divisor kernel,
-reads orders off ``factor``'s multiplicities for every reader of many places;
-``ord_at``, the single-place query, counts with ``Poly.multiplicity_of``.
+reads orders off ``factor``'s multiplicities for every reader of many places
+but ``elliptic.deg_omega``, whose trial division keeps the degree check of
+``sections.divisor`` independent; ``ord_at``, the single-place query, counts
+with ``Poly.multiplicity_of``.
 
 Also here: polynomials in an auxiliary variable x over the function field
 (``XPoly``/``RatX``), covers of the line given by rational substitutions,

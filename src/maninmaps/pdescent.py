@@ -21,12 +21,11 @@ from .elliptic import (
     CurvePoint,
     KodairaType,
     WeierstrassModel,
+    _fiber_at,
+    _fibers,
     _gauss_manin,
     bad_places,
-    curve_places,
     deg_omega,
-    kodaira_type,
-    twist_exponent,
 )
 from .errors import ConsistencyError, HypothesisError, InputError
 from .funcfield import (
@@ -199,12 +198,11 @@ def reduction_table_report(E: WeierstrassModel) -> list:
     good reduction and order 0, which the table allows.
     """
     p = _require_charp(E)
-    E, _ = _short_with_point(E)
     lam_div = divisor(kodaira_spencer_section(E))
-    places = set(lam_div.support()) | set(curve_places(E))
+    types = {v: ktype for v, _, ktype in _fibers(E)}
     rows = []
-    for v in sorted(places, key=lambda q: q.sort_key()):
-        ktype = kodaira_type(E, v)
+    for v in sorted(set(lam_div.support()) | set(types), key=lambda q: q.sort_key()):
+        ktype = types.get(v, KodairaType("I", 0))  # I0 off the curve places
         ell = lam_div.ord(v)
         expected, pred = _table_expectation(ktype, p)
         rows.append(TableRow(v, ktype, ell, expected, pred(ell)))
@@ -215,9 +213,9 @@ def reduction_table_report(E: WeierstrassModel) -> list:
 # component groups and the descent divisor
 
 
-def _node_contact(E: WeierstrassModel, P: CurvePoint, v: Place):
+def _node_contact(E: WeierstrassModel, P: CurvePoint, v: Place, k: int, ktype):
     """ord_v(x(P) - x_node) on the v-minimal model if P reduces to the node of
-    an I_m fiber (m >= 1), else 0 (an I0 fiber is smooth).
+    an I_m fiber (m >= 1), else 0 (an I0 fiber is smooth); k = k_v.
 
     On the v-minimal model x, y, a4, a6 pick up pi^(2k), pi^(3k), pi^(4k),
     pi^(6k), so every test below is an order ord_v + weight k.  A pole of x
@@ -229,10 +227,8 @@ def _node_contact(E: WeierstrassModel, P: CurvePoint, v: Place):
     if P.is_zero:
         return 0
     E, P = _short_with_point(E, P)
-    k = twist_exponent(E, v)
     if ord_at(P.x, v) + 2 * k < 0:
         return 0
-    ktype = kodaira_type(E, v)
     if ktype.is_additive:
         raise HypothesisError("additive reduction at %s; component test refused" % v)
     if ktype.is_good:
@@ -242,7 +238,7 @@ def _node_contact(E: WeierstrassModel, P: CurvePoint, v: Place):
 
 def in_identity_component(E: WeierstrassModel, P: CurvePoint, v: Place) -> bool:
     """Whether P reduces to a smooth point of the v-minimal closed fiber (semistable v)."""
-    return _node_contact(E, P, v) == 0
+    return _node_contact(E, P, v, *_fiber_at(E, v)) == 0
 
 
 def component_order(E: WeierstrassModel, P: CurvePoint, v: Place) -> int:
@@ -259,11 +255,11 @@ def component_order(E: WeierstrassModel, P: CurvePoint, v: Place) -> int:
     as i and m - i have the same order m / gcd(m, i), the order is
     m / gcd(m, min(d, m // 2)), which is 1 at d = 0.
     """
-    ktype = kodaira_type(E, v)
+    k, ktype = _fiber_at(E, v)
     if not ktype.is_semistable:
         raise HypothesisError("component order computed only at semistable places")
     m = max(ktype.m, 1)
-    return m // gcd(m, min(_node_contact(E, P, v), m // 2))
+    return m // gcd(m, min(_node_contact(E, P, v, k, ktype), m // 2))
 
 
 class DescentDivisor:
@@ -440,17 +436,15 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
             )
     Escan = WeierstrassModel.short(K, a4, a6)
 
-    special = set(curve_places(Escan))
-    special.update(watch_places)
-    special.update(need)
-    special.add(K.infinity())
+    twists = {v: k for v, k, _ in _fibers(Escan)}  # k_v = 0 off these places
+    special = set(twists).union(watch_places, need)
 
     start, G = _ward_start(a4.num, a6.num, x0.num, y0.num)
     new_part = {2: y0.num, 4: start[4]}  # the factor of psi_n tested at even n
     psi = _division_values(a4.num, a6.num, x0.num, y0.num, n_max + 1, new_part)
     torsion_order = None
     iotas = {}
-    open_places = {v: twist_exponent(Escan, v) for v in special}
+    open_places = {v: twists.get(v, 0) for v in special}
     residues = {v: ([q % v.pi for q in start], G % v.pi) for v, kv in open_places.items()
                 if kv == 0 and not v.is_infinity}
     for n in range(1, n_max + 1):

@@ -8,6 +8,12 @@
   take no single-place valuation, and ``exceptional_set`` classifies no
   fiber: spies on ``ord_at``, ``Poly.multiplicity_of`` and ``kodaira_type``
   stay silent while they run.
+- The fiber pass ``elliptic._fibers`` agrees with trial division: on drawn
+  short models over Q(t) and F_7(t), ``bad_places`` equals ``kodaira_type``
+  at each curve place, and 12 deg omega is the sum of minimal discriminant
+  orders.  Its readers (``curve_places``, ``bad_places``, the order table
+  and the tangency scan) call none of ``ord_at``, ``kodaira_type`` and
+  ``twist_exponent``.
 """
 
 import pytest
@@ -17,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import divisor_oracle
-from conftest import legendre
+from conftest import legendre, legendre_cover_2, place
 from maninmaps import (
     Differential,
     FunctionField,
@@ -28,8 +34,11 @@ from maninmaps import (
     divisor,
     divisor_of_differential,
     exceptional_set,
+    kodaira_spencer_section,
+    reduction_table_report,
+    tangency_scan,
 )
-from maninmaps import elliptic, funcfield, maninmap, sections
+from maninmaps import elliptic, funcfield, maninmap, pdescent, sections
 from maninmaps.polynomials import Poly
 
 FIELDS = {"Q": FunctionField(QQ, "t"), "F7": FunctionField(PrimeField(7), "t")}
@@ -46,13 +55,19 @@ def elements(draw, K):
 
 
 @st.composite
-def sections_over(draw, name):
+def short_models(draw, name):
     K = FIELDS[name]
-    a4, a6, value = draw(elements(K)), draw(elements(K)), draw(elements(K))
-    assume(not value.is_zero() and not (a4.is_zero() and a6.is_zero()))
+    a4, a6 = draw(elements(K)), draw(elements(K))
     assume(not (a4 ** 3 * 4 + a6 ** 2 * 27).is_zero())
+    return WeierstrassModel.short(K, a4, a6)
+
+
+@st.composite
+def sections_over(draw, name):
+    E = draw(short_models(name))
+    K, value = E.field, draw(elements(E.field))
+    assume(not value.is_zero())
     weights = (-2, -1, 0, 1, 4, K.char - 1)
-    E = WeierstrassModel.short(K, a4, a6)
     return GradedSection(value, draw(st.sampled_from(weights)), draw(st.integers(0, 2)), E)
 
 
@@ -62,6 +77,18 @@ def test_section_and_differential_divisors_match_the_place_by_place_oracle(S):
     assert divisor(S).entries == divisor_oracle.section_divisor(S)
     omega = Differential(S.value)
     assert divisor_of_differential(omega) == divisor_oracle.differential_divisor(omega)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(short_models))
+def test_fiber_pass_matches_trial_division(E):
+    places = elliptic.curve_places(E)
+    types = [(v, elliptic.kodaira_type(E, v)) for v in places]
+    assert elliptic.bad_places(E) == [(v, kt) for v, kt in types if not kt.is_good]
+    disc = E.discriminant()
+    total = sum(v.degree * (funcfield.ord_at(disc, v) + 12 * elliptic.twist_exponent(E, v))
+                for v in places)
+    assert 12 * elliptic.deg_omega(E) == total
 
 
 def _forbid(monkeypatch, owner, name):
@@ -91,3 +118,25 @@ def test_divisor_readers_take_no_single_place_valuation(monkeypatch):
     assert divisor(S).entries == expected_divisor
     assert divisor_of_differential(omega) == expected_differential
     assert exceptional_set(legendre(K)).entries == expected_set
+
+
+def test_fiber_readers_take_no_single_place_valuation(monkeypatch):
+    E, P, _ = legendre_cover_2(PrimeField(5))
+    # s^2 + s + 1 is prime over F_5 and no curve place, so its k_v is the default 0
+    watch = [place(E.field, [1, 1, 1]), *divisor(kodaira_spencer_section(E)).support()]
+    expected_places = elliptic.curve_places(E)
+    expected_bad = elliptic.bad_places(E)
+    expected_rows = [(r.place, r.ktype, r.ell, r.ok) for r in reduction_table_report(E)]
+    expected_iotas = tangency_scan(E, P, 12, watch_places=watch).iotas
+    assert watch[0] not in expected_places
+    d = elliptic.deg_omega(E)
+    monkeypatch.setattr(sections, "deg_omega", lambda _: d)
+    for module in (funcfield, elliptic, sections, pdescent, maninmap):
+        for name in ("ord_at", "kodaira_type", "twist_exponent"):
+            if hasattr(module, name):
+                _forbid(monkeypatch, module, name)
+    assert elliptic.curve_places(E) == expected_places
+    assert elliptic.bad_places(E) == expected_bad
+    rows = [(r.place, r.ktype, r.ell, r.ok) for r in reduction_table_report(E)]
+    assert rows == expected_rows
+    assert tangency_scan(E, P, 12, watch_places=watch).iotas == expected_iotas
