@@ -90,8 +90,9 @@ def _witness(E: WeierstrassModel, A: FieldElement, B: FieldElement, C: FieldElem
 
     With f the cubic of E, ' = d/dx and d = d/dt (d x = 0),
     d(1/y) = -df/(2 y^3) and d^2(1/y) = -ddf/(2 y^3) + 3 df^2/(4 y^5) give
-    L(dx/y) = y R/f^3 dx with R = A(3 df^2/4 - ddf f/2) - B df f/2 + C f^2,
-    of degree at most 6 in x.  For F = rx + y ry,
+    L(dx/y) = y R/f^3 dx with R = A(3 df^2/4 - ddf f/2) - B df f/2 + C f^2
+    = df (3A/4 df - B/2 f) - f (A/2 ddf - C f), of degree at most 6 in x.
+    For F = rx + y ry,
     dF = (rx' + y (ry' + ry f'/(2f))) dx, so L(dx/y) = dF iff rx' = 0 and
     ry' + ry f'/(2f) = R/f^3.  That equation has at most one solution ry in
     K(x): two would differ by a multiple of f^(-1/2), which is not in K(x).
@@ -111,12 +112,8 @@ def _witness(E: WeierstrassModel, A: FieldElement, B: FieldElement, C: FieldElem
     K = E.field
     f = E.cubic()
     ft = f.map_coeffs(FieldElement.derive)
-    R = (
-        (ft * ft).scale(A * 3 / 4)
-        - (ft.map_coeffs(FieldElement.derive) * f).scale(A / 2)
-        - (ft * f).scale(B / 2)
-        + (f * f).scale(C)
-    )
+    ftt = ft.map_coeffs(FieldElement.derive)
+    R = ft * (ft.scale(A * 3 / 4) - f.scale(B / 2)) - f * (ftt.scale(A / 2) - f.scale(C))
     r = [R[k] for k in range(7)]
     n = [K.zero] * 5
     for i in range(4, -1, -1):

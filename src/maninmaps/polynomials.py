@@ -40,10 +40,10 @@ heuristic gcd: the integer gcd of the values at a power of 2, read back as
 digits, and ``cofactors`` returns it with the quotients of its candidate
 test, so no division by a gcd pseudo-divides.
 Factorization is complete over F_p (squarefree split, distinct-degree,
-equal-degree) and over Q uses squarefree decomposition, a modular
-factorization lifted by splitting off one factor at a time (Hensel) and
-capped subset recombination (Zassenhaus), with modular degree patterns used
-to certify irreducibility.
+equal-degree) and over Q uses squarefree decomposition, an x split, deflation
+and quadratics by discriminant, then modular factors lifted one at a time
+(Hensel) and capped subset recombination (Zassenhaus), with modular degree
+patterns used to certify irreducibility.
 """
 
 from __future__ import annotations
@@ -991,12 +991,45 @@ def _primitive(ints: list) -> list:
 
 
 def _factor_zz_squarefree(ints: list) -> list:
-    """Irreducible integer factors of a primitive squarefree integer polynomial."""
+    """Irreducible integer factors of a primitive squarefree integer polynomial f.
+
+    Three steps run before Zassenhaus (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 15).  x splits off when f(0) = 0.  f = g(x^e), e > 1
+    the gcd of the exponents, is factored through g: its g_j(x^e) are pairwise
+    coprime with product f, as f is squarefree, and squarefree, as g_j(0) != 0.
+    They go to ``_factor_zz_core``, as an irreducible g_j would recurse here
+    forever.  There a quadratic a x^2 + b x + c with b^2 - 4ac = r^2 > 0 is
+    prim(2a x + b - r) prim(2a x + b + r) (Gauss), and irreducible when no such
+    r exists.  x^2 | f, a discriminant 0, a g that refuses, or no usable prime
+    show that f is not squarefree.
+    """
+    if len(ints) > 2 and not ints[0]:
+        if not ints[1]:
+            raise InputError("x^2 divides the polynomial: it is not squarefree")
+        return [[0, 1]] + _factor_zz_squarefree(ints[1:])
+    e = _deflation(ints)[1]
+    if e <= 1:  # 0 for a monomial
+        return _factor_zz_core(ints)
+    out = []
+    for g in _factor_zz_squarefree(ints[::e]):
+        ge = [0] * (e * len(g) - e + 1)
+        ge[::e] = g
+        out += _factor_zz_core(ge)
+    return out
+
+
+def _factor_zz_core(ints: list) -> list:
+    """``_factor_zz_squarefree`` with no deflation: the quadratic step, then Zassenhaus."""
     n = len(ints) - 1
-    if n <= 0:
-        return []
-    if n == 1:
-        return [_primitive(ints)]
+    if n < 2:
+        return [ints] if n == 1 else []
+    if n == 2:
+        c, b, a = ints
+        d = b * b - 4 * a * c
+        if not d:
+            raise InputError("the discriminant is 0: the polynomial is not squarefree")
+        r = math.isqrt(max(d, 0))
+        return [_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])] if r * r == d else [ints]
     # A prime is unusable when it divides lc * disc.  For squarefree input
     # |lc * disc| <= |lc| n^n |f|_2^(2n-2), so once the unusable primes
     # multiply past that bound the input cannot have been squarefree.

@@ -208,12 +208,23 @@ def test_derivative_and_evaluate():
 
 
 def test_factor_zz_refuses_non_squarefree_input():
-    # every prime divides lc * disc = 0, so the search for a usable prime
-    # must stop rather than run forever
+    # (x + 1)^2 has discriminant 0: it must refuse, not return x + 1 twice
     from maninmaps.polynomials import _factor_zz_squarefree
 
     with pytest.raises(InputError):
         _factor_zz_squarefree([1, 2, 1])
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: PrimeField(5).inv(0), ZeroDivisionError, "division by zero in F_5"),
+    (lambda: qpoly(1, 1) ** -1, ValueError, "negative power of a polynomial"),
+    (lambda: divmod(qpoly(1, 1), Poly.zero(QQ)), ZeroDivisionError, "polynomial division by zero"),
+    (lambda: squarefree_decomposition(Poly.zero(QQ)), InputError,
+     "cannot decompose the zero polynomial"),
+], ids=["inv-zero-fp", "negative-power", "divmod-by-zero", "sqfree-of-zero"])
+def test_refusals_through_the_public_api(call, exc, message):
+    with pytest.raises(exc, match="^%s$" % message):
+        call()
 
 
 def test_lift_tree_reports_non_coprime_factors():

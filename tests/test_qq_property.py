@@ -8,12 +8,15 @@ integer gcds of values at powers of 2, read back as digits) must equal
 sympy's monic gcd on drawn ``g*u`` and ``g*w``, and on fixed pairs that
 reject a first candidate or carry coefficients near 10^60;
 ``factor`` over Q (modular factors lifted by Hensel splits and recombined
-by subsets) must equal ``factor_list``; and over Q and F_7 the factors must
-multiply back to the monic input.  ``cofactors`` (the gcd with both
-quotients, read off the heuristic gcd's acceptance test over Q) must equal
-sympy's ``cofactors`` over Q, F_5, F_13 and F_(2^31 - 1).
+by subsets) must equal ``factor_list``, also on x^i g(x^e) and on products
+of quadratics, which the x split, deflation and the discriminant take before
+Zassenhaus, so that Hensel lifting never sees a deflatable input; and over Q
+and F_7 the factors must multiply back to the monic input.  ``cofactors``
+(the gcd with both quotients, read off the heuristic gcd's acceptance test
+over Q) must equal sympy's ``cofactors`` over Q, F_5, F_13 and F_(2^31 - 1).
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import maninmaps.polynomials as polys
+from maninmaps.errors import InputError
 from maninmaps.polynomials import Poly, PrimeField, QQ, factor
 
 from test_modular_kernels import sympy_factors
@@ -84,14 +88,70 @@ def test_gcd_over_q_matches_sympy(g, u, w):
     assert b.gcd(a) == want
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(qq_poly(3), min_size=1, max_size=3), st.integers(1, 2))
-def test_factor_over_q_matches_sympy(parts, power):
-    f = product([(parts[0], power)] + [(h, 1) for h in parts[1:]], QQ)
+def check_factor(f):
     polys._FACTOR_CACHE.clear()
     got = factor(f)
     assert {(str(g), m) for g, m in got} == sympy_factors(f)
     assert product(got, QQ) == f.monic()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(qq_poly(3), min_size=1, max_size=3), st.integers(1, 2))
+def test_factor_over_q_matches_sympy(parts, power):
+    check_factor(product([(parts[0], power)] + [(h, 1) for h in parts[1:]], QQ))
+
+
+def inflate(g, e):
+    """g(x^e)."""
+    cs = [Fraction(0)] * (e * g.degree + 1)
+    cs[::e] = g.coeffs
+    return Poly(QQ, cs)
+
+
+def zpoly(ints):
+    return Poly(QQ, [Fraction(c) for c in ints])
+
+
+small = st.integers(-6, 6)
+nonzero = small.filter(bool)
+# a square discriminant: a product of two linear factors; else any quadratic
+quadratic = st.one_of(
+    st.tuples(small, nonzero, small, nonzero).map(lambda t: zpoly(t[:2]) * zpoly(t[2:])),
+    st.tuples(small, small, nonzero).map(zpoly),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1), st.sampled_from([1, 2, 3, 4]),
+       st.lists(st.one_of(quadratic, qq_poly(3)), min_size=1, max_size=3), st.integers(1, 2))
+def test_factor_over_q_deflates_and_reads_quadratics(i, e, parts, power):
+    g = product([(parts[0], power)] + [(h, 1) for h in parts[1:]], QQ)
+    check_factor(Poly(QQ, [Fraction(0)] * i + [Fraction(1)]) * inflate(g, e))
+
+
+# the places of Legendre covers t = c - s^2/k in the tangency benchmark, and
+# one input whose rest after the x split needs Hensel lifting
+FIXED = [[1872, 0, -84, 0, 1], [-60480, 0, 4968, 0, -126, 0, 1], [0, 1728, 0, -84, 0, 1],
+         [-36, 0, 1], [-48, 0, 1], [0, 96, 96, -2, -50, 48, 1, -49, 0, 1]]
+
+
+def test_hensel_lifts_only_what_deflation_leaves(monkeypatch):
+    seen = []
+    lift = polys._hensel_lift
+    monkeypatch.setattr(polys, "_hensel_lift", lambda f, *a: seen.append(list(f)) or lift(f, *a))
+    for cs in FIXED:
+        check_factor(zpoly(cs))
+    assert seen
+    for f in seen:
+        assert len(f) >= 4 and f[0] and math.gcd(*[k for k, c in enumerate(f) if c]) == 1, f
+
+
+# x^2 | f, a discriminant 0, a deflated g with one, and (x + 1)^2 (x + 2),
+# which only the search for a usable Zassenhaus prime refuses
+@pytest.mark.parametrize("ints", [[0, 0, 1], [1, 2, 1], [1, 0, 2, 0, 1], [2, 5, 4, 1]])
+def test_factor_zz_refuses_non_squarefree_shapes(ints):
+    with pytest.raises(InputError, match="not squarefree"):
+        polys._factor_zz_squarefree(ints)
 
 
 @settings(max_examples=40, deadline=None)
