@@ -16,9 +16,7 @@ from .elliptic import (
     add,
     bad_places,
     deg_omega,
-    discriminant,
     intersection_with_zero,
-    j_invariant,
     kodaira_type,
     negate,
     parse_curve_function,

@@ -8,9 +8,10 @@ Local data (twist exponents, Kodaira types, intersection numbers with the
 zero section) is read without building a second model: a quantity of weight
 w on the v-minimal model has order ord_v + w k_v, where k_v is the twist
 exponent.  ``_fiber`` alone turns the orders of a4, a6 and the discriminant
-into k_v and the fiber type (Tate, away from residue characteristic 2 and 3);
-readers of many places take those orders from one divisor-kernel pass,
-``_fibers``, and readers of one place from ``ord_at``.
+into k_v and the fiber type (Tate, away from residue characteristic 2 and 3),
+so it alone decides badness; readers of many places take those orders, and
+any others they need, from one divisor-kernel pass, ``_fibers``, and readers
+of one place from ``ord_at``.
 """
 
 from __future__ import annotations
@@ -240,14 +241,6 @@ def scalar_mul(n: int, P: CurvePoint) -> CurvePoint:
     return _power(P, n, add) if n else CurvePoint.zero(P.model)
 
 
-def discriminant(E: WeierstrassModel) -> FieldElement:
-    return E.discriminant()
-
-
-def j_invariant(E: WeierstrassModel) -> FieldElement:
-    return E.j_invariant()
-
-
 def _gauss_manin(E: WeierstrassModel) -> tuple:
     """(Delta, delta) = (4 a4^3 + 27 a6^2, 3 a6 a4' - 2 a4 a6') of the depressed
     model, ' = d/dt; Delta is the discriminant over -16.
@@ -336,7 +329,11 @@ def twist_exponent(E: WeierstrassModel, v: Place) -> int:
 def _fiber(v: Place, o4, o6, od) -> tuple:
     """(k_v, fiber type) from ord_v of a4, a6 and Delta on a short model, by
     (ord c4, ord disc) on the v-minimal model: twisting by pi^k multiplies the
-    discriminant by pi^12k and, as c4 = -48 a4, c4 by pi^4k."""
+    discriminant by pi^12k and, as c4 = -48 a4, c4 by pi^4k.  Neither raise
+    fires on a valid model: there a = ord a4 >= 0, b = ord a6 >= 0 and a < 4
+    or b < 6, so 3a = 2b only at (a, b) = (2, 3), and otherwise
+    d = ord(4 a4^3 + 27 a6^2) = min(3a, 2b).  So 3a < d forces (2, 3) and
+    d > 6, and 0 < d <= 3a leaves 3a (a <= 3), 2b (b <= 5) or 6."""
     k = _twist(o4, o6)
     d = od + 12 * k
     if d == 0:
@@ -361,13 +358,13 @@ def _fiber_at(E: WeierstrassModel, v: Place) -> tuple:
     return _fiber(v, ord_at(E.a4, v), ord_at(E.a6, v), ord_at(E.discriminant(), v))
 
 
-def _fibers(E: WeierstrassModel) -> list:
-    """[(v, k_v, fiber type)] over the curve places, sorted, from one
-    ``_local_orders`` call (k_v = 0 and the fiber is I0 elsewhere).  On a valid
-    model ``_fiber`` cannot raise, so classifying every place changes no outcome."""
+def _fibers(E: WeierstrassModel, *extra: FieldElement) -> list:
+    """[(v, k_v, fiber type, [ord_v of a4, a6, Delta, *extra])], sorted, from
+    one ``_local_orders`` call over their places (k_v = 0 and the fiber is I0
+    elsewhere); ``_fiber`` cannot raise on a valid model."""
     E = E.depress()[0]
-    orders = _local_orders(E.a4, E.a6, E.discriminant())
-    return sorted(((v, *_fiber(v, *o)) for v, o in orders.items()), key=lambda f: f[0].sort_key())
+    orders = _local_orders(E.a4, E.a6, E.discriminant(), *extra)
+    return sorted(((v, *_fiber(v, *o[:3]), o) for v, o in orders.items()), key=lambda f: f[0].sort_key())
 
 
 def kodaira_type(E: WeierstrassModel, v: Place) -> KodairaType:
@@ -378,12 +375,12 @@ def kodaira_type(E: WeierstrassModel, v: Place) -> KodairaType:
 def curve_places(E: WeierstrassModel) -> list:
     """Places where anything local can happen, sorted: the support of the
     coefficients and of the discriminant, and infinity."""
-    return [v for v, _, _ in _fibers(E)]
+    return [f[0] for f in _fibers(E)]
 
 
 def bad_places(E: WeierstrassModel) -> list:
     """[(Place, KodairaType)] over the places of bad reduction."""
-    return [(v, ktype) for v, _, ktype in _fibers(E) if not ktype.is_good]
+    return [(v, ktype) for v, _, ktype, _ in _fibers(E) if not ktype.is_good]
 
 
 def deg_omega(E: WeierstrassModel) -> int:
@@ -397,7 +394,8 @@ def intersection_with_zero(E: WeierstrassModel, P: CurvePoint, v: Place) -> int:
     """Local intersection number of the section P with the zero section at v.
 
     Only defined here at places of good or multiplicative reduction; additive
-    places are refused rather than guessed at.
+    places are refused rather than guessed at.  On the v-minimal model a pole
+    of x makes x^3 dominate the cubic, so a point on the curve has 2 oy = 3 ox.
     """
     if P.is_zero:
         raise InputError("the zero section meets itself everywhere")
@@ -475,6 +473,8 @@ class CurveFunction:
         return CurveFunction(self.model, rx, ry)
 
     def __truediv__(self, other):
+        """Times the conjugate over the norm rx^2 - f ry^2, zero only at 0:
+        else f = (rx/ry)^2, yet f is a squarefree cubic."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero in K(E)")
         f = RatX.from_xpoly(self.model.cubic())

@@ -25,8 +25,7 @@ product, division and gcd; the private base ``_Quotient`` holds the
 canonical-fraction arithmetic (coprime with a monic denominator, equality,
 + - * / ** by Henrici's gcd splitting) of both ``FieldElement`` over k[t] and
 ``RatX`` over K[x].  The constant fields supply ``from_int``, ``inv`` and
-``div``; ``FieldElement`` reaches them only through ``Poly`` and ``div`` in
-``evaluate``.
+``div``; ``FieldElement`` reaches them only through ``Poly``.
 """
 
 from __future__ import annotations
@@ -252,13 +251,6 @@ class FieldElement(_Quotient):
         g, e, h = d.cofactors(d.derivative())
         _, m, g = (n.derivative() * e - n * h).cofactors(g)
         return self._make(m, g * e * e)
-
-    def evaluate(self, point):
-        """Evaluate at a raw constant; the point must not be a pole."""
-        dval = self.den.evaluate(point)
-        if dval == self.field.constants.zero:
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.field.constants.div(self.num.evaluate(point), dval)
 
     def __str__(self):
         ns = self.num.to_str(self.field.var)

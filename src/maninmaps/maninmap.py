@@ -12,10 +12,11 @@ that does not depend on the derivation, the model, or the scaling of L.
 The exceptional set S collects bad reduction and the places where the
 classifying map is not an immersion, read off from dj against j = 0, 1728
 with ord dj taken from the Gauss-Manin pair (Delta, delta) that ``find_pf``
-also uses; off S the order of the section is the contact excess of the
-point with the leaves through it, and the degree of the bundle bounds the
-total.  The operator of dx/y itself is read off the Gauss-Manin connection
-in closed form (``find_pf``).  Exactness has one test, shared by
+also uses, all from one ``elliptic._fibers`` pass; off S the order of the
+section is the contact excess of the point with the leaves through it, and
+the degree of the bundle bounds the total, as the report's degree and floor
+checks imply.  The operator of dx/y itself is read off the Gauss-Manin
+connection in closed form (``find_pf``).  Exactness has one test, shared by
 ``find_pf`` and ``verify_pf``: the witness equation has at most one
 solution, of the form y N(x)/f(x)^2 with deg N <= 4, which
 back-substitution finds or rules out (``_witness``).  The linear solve and
@@ -31,13 +32,13 @@ from .elliptic import (
     RatX,
     WeierstrassModel,
     XPoly,
+    _fibers,
     _gauss_manin,
-    _twist,
     deg_omega,
 )
 from .errors import ConsistencyError, HypothesisError, InputError, NotFoundError
-from .funcfield import CoverMap, FieldElement, Place, _local_orders
-from .sections import GradedSection, divisor
+from .funcfield import CoverMap, FieldElement, Place
+from .sections import GradedSection, _divisor
 
 
 class PFOperator:
@@ -250,10 +251,8 @@ def manin_value(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> FieldEleme
     """
     if not verify_pf(E, L):
         raise HypothesisError("the operator does not make the invariant differential exact")
-    if P.is_zero:
-        return E.field.zero
-    if P.y.is_zero():
-        return E.field.zero  # 2-torsion is killed
+    if P.is_zero or P.y.is_zero():
+        return E.field.zero  # O and 2-torsion are killed
     x, y = P.x, P.y
     xp = x.derive()
     df = E.cubic().map_coeffs(lambda c: c.derive())
@@ -323,7 +322,7 @@ def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
     j' = 6912 * 27 a4^2 a6 delta/Delta^2 (``elliptic._gauss_manin``), so every
     zero of j, j - 1728 or dj lies in the support of a4, a6, Delta or delta,
     and their divisors give every order below; delta = 0 is isotriviality,
-    refused.  A place is bad when ord_v Delta + 12k_v != 0.  At a good place
+    refused.  ``elliptic._fiber`` decides which places are bad.  At a good place
     the minimal discriminant is a unit, so with a = ord_v a4 + 4k_v,
     b = ord_v a6 + 6k_v and ord_v Delta = -12k_v: ord_v(j) = 3a,
     ord_v(j - 1728) = 2b and ord_v(dj) = 2a + b + ord_v(delta) + 10k_v, less
@@ -331,15 +330,12 @@ def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
     """
     if E.field.char != 0:
         raise InputError("the exceptional set is a characteristic-0 notion")
-    Es = E.depress()[0]
-    delta = _gauss_manin(Es)[1]
+    delta = _gauss_manin(E)[1]
     if delta.is_zero():
         raise HypothesisError("isotrivial curve: dj vanishes identically")
     entries = []
-    orders = _local_orders(Es.a4, Es.a6, Es.discriminant(), delta)
-    for v, (o4, o6, o_disc, o_delta) in orders.items():
-        k = _twist(o4, o6)
-        if o_disc + 12 * k:
+    for v, k, ktype, (o4, o6, _, o_delta) in _fibers(E, delta):
+        if not ktype.is_good:
             entries.append((v, REASON_BAD))
             continue
         a = o4 + 4 * k
@@ -378,6 +374,11 @@ def tangency_report(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> Tangen
     places off S with J > 0 form the tangency set, whose degree-weighted
     size is bounded by 4g - 4 - d + |S| with g = 0.  A zero section (P was
     torsion, or in the kernel for another reason) is reported as such.
+
+    d = deg omega is read once and passed to ``sections._divisor``.  The
+    bound needs no check of its own: ``_divisor`` checks deg div = -4 - d
+    (weight -1, m = 2) and the floors give J >= -1 on S, so the weighted sum
+    of J off S is -4 - d - sum_S deg(v) J_v <= -4 - d + |S| = bound.
     """
     S = exceptional_set(E)
     section = manin_section(E, L, P)
@@ -388,7 +389,7 @@ def tangency_report(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> Tangen
             section=section, section_divisor=None, exceptional=S, orders={},
             t_complex=[], contact_orders={}, d=d, bound=bound, zero_section=True,
         )
-    div = divisor(section)
+    div = _divisor(section, d)
     orders = {v: div.ord(v) for v in set(div.support()) | set(S.places())}
     for v, J in orders.items():
         if v in S:
@@ -401,11 +402,6 @@ def tangency_report(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> Tangen
         key=lambda v: v.sort_key(),
     )
     contact = {v: orders[v] + 2 for v in orders if v not in S}
-    weighted = sum(v.degree * orders[v] for v in orders if v not in S)
-    if weighted > bound:
-        raise ConsistencyError(
-            "total tangency order %d exceeds the bound %d" % (weighted, bound)
-        )
     return TangencyReport(
         section=section, section_divisor=div, exceptional=S, orders=orders,
         t_complex=t_complex, contact_orders=contact, d=d, bound=bound,

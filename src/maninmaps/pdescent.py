@@ -199,7 +199,7 @@ def reduction_table_report(E: WeierstrassModel) -> list:
     """
     p = _require_charp(E)
     lam_div = divisor(kodaira_spencer_section(E))
-    types = {v: ktype for v, _, ktype in _fibers(E)}
+    types = {v: ktype for v, _, ktype, _ in _fibers(E)}
     rows = []
     for v in sorted(set(lam_div.support()) | set(types), key=lambda q: q.sort_key()):
         ktype = types.get(v, KodairaType("I", 0))  # I0 off the curve places
@@ -436,7 +436,7 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
             )
     Escan = WeierstrassModel.short(K, a4, a6)
 
-    twists = {v: k for v, k, _ in _fibers(Escan)}  # k_v = 0 off these places
+    twists = {v: k for v, k, _, _ in _fibers(Escan)}  # k_v = 0 off these places
     special = set(twists).union(watch_places, need)
 
     start, G = _ward_start(a4.num, a6.num, x0.num, y0.num)

@@ -24,8 +24,7 @@ class GradedSection:
 
     def __init__(self, value: FieldElement, weight: int, diff_degree: int,
                  model: WeierstrassModel):
-        if not model.is_short:
-            model = model.depress()[0]
+        model = model.depress()[0]
         if value.field != model.field:
             raise InputError("section value and model live over different fields")
         self.value = value
@@ -119,6 +118,11 @@ def divisor(S: GradedSection) -> DivisorReport:
     (off the support of a4 and a6, k_v = 0), less 2m at infinity; the degree
     identity degree = -2 m + weight * deg_omega is checked before returning.
     """
+    return _divisor(S, deg_omega(S.model))
+
+
+def _divisor(S: GradedSection, d: int) -> DivisorReport:
+    """``divisor`` with d = deg_omega(S.model) given, for a report that has it."""
     if S.is_zero():
         raise InputError("divisor of the zero section")
     E = S.model
@@ -126,7 +130,7 @@ def divisor(S: GradedSection) -> DivisorReport:
     report = DivisorReport(
         divisor_of_function(S.value) + twist + [(E.field.infinity(), -2 * S.diff_degree)]
     )
-    expected = -2 * S.diff_degree + S.weight * deg_omega(E)
+    expected = -2 * S.diff_degree + S.weight * d
     if report.degree != expected:
         raise ConsistencyError(
             "divisor degree %d does not match -2m + weight*deg_omega = %d"

@@ -360,3 +360,28 @@ def test_section_degree_identity(base):
     Ls = pullback_pf(L, phi)
     sec = manin_section(Es, Ls, P)
     assert divisor(sec).degree == -4 - deg_omega(Es)
+
+
+def test_tangency_report_reads_deg_omega_once(monkeypatch):
+    # one trial-division deg omega, passed to the section's divisor, and at
+    # most three divisor-kernel passes: the exceptional set's fibers (with
+    # delta), deg omega's curve places, and the divisor's twists
+    from pathlib import Path
+
+    import maninmaps
+    from maninmaps.cli import Manifest
+
+    man = Manifest(str(Path(__file__).resolve().parent.parent / "manifests" / "legendre-biquadratic.cfg"))
+    E, L, P = man.model, man.operator, man.pick_point()
+    calls = {"deg_omega": 0, "_local_orders": 0}
+    for name in calls:
+        for module in (maninmaps.elliptic, maninmaps.funcfield, maninmaps.maninmap, maninmaps.sections):
+            if hasattr(module, name):
+                def counting(*args, _inner=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _inner(*args)
+                monkeypatch.setattr(module, name, counting)
+    rep = tangency_report(E, L, P)
+    assert not rep.zero_section
+    assert calls["deg_omega"] == 1
+    assert calls["_local_orders"] <= 3
