@@ -59,7 +59,7 @@ class Manifest:
             raise InputError("cannot read manifest %r" % path)
         self.path = path
         char = _manifest_int(cp.get("field", "characteristic", fallback="0"),
-                             "characteristic must be an integer")
+                             "characteristic", "characteristic must be an integer")
         constants = QQ if char == 0 else PrimeField(char)
         if not cp.has_section("curve"):
             raise InputError("manifest needs a [curve] section")
@@ -154,7 +154,7 @@ class Manifest:
             for key, val in cp.items("params"):
                 if key in ("n_max", "pole_bound"):
                     self.params[key] = _manifest_int(
-                        val, "%s must be an integer, got %r" % (key, val))
+                        val, key, "%s must be an integer, got %r" % (key, val))
                 elif key == "point":
                     self.params[key] = val.strip()
                 else:
@@ -171,23 +171,25 @@ class Manifest:
         return self.points[name]
 
 
-def _manifest_int(text: str, message: str) -> int:
-    """An optional '-' and ASCII digits; int() alone also takes other Unicode digits and '_'."""
+def _manifest_int(text: str, name: str, message: str) -> int:
+    """An optional '-' and ASCII digits, else InputError(message); int() alone
+    also takes other Unicode digits and '_'."""
     body = text[1:] if text.startswith("-") else text
+    if not (body.isascii() and body.isdigit()):
+        raise InputError(message)
     try:
-        if body.isascii() and body.isdigit():
-            return int(text)
-    except ValueError:  # past the interpreter's digit limit
-        pass
-    raise InputError(message)
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit: name the length, not the digits
+        raise InputError("%s has %d digits, past the interpreter's limit of %d digits for an integer"
+                         % (name, len(body), sys.get_int_max_str_digits())) from None
 
 
 def _option_int(text: str) -> int:
     """An --n-max or --pole-bound value, read by the manifest's integer rule."""
     try:
-        return _manifest_int(text, "")
-    except InputError:
-        raise argparse.ArgumentTypeError("invalid integer %r" % text) from None
+        return _manifest_int(text, "the value", "invalid integer %r" % text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _split_pair(text: str):

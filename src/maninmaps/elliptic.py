@@ -372,12 +372,6 @@ def kodaira_type(E: WeierstrassModel, v: Place) -> KodairaType:
     return _fiber_at(E, v)[1]
 
 
-def curve_places(E: WeierstrassModel) -> list:
-    """Places where anything local can happen, sorted: the support of the
-    coefficients and of the discriminant, and infinity."""
-    return [f[0] for f in _fibers(E)]
-
-
 def bad_places(E: WeierstrassModel) -> list:
     """[(Place, KodairaType)] over the places of bad reduction."""
     return [(v, ktype) for v, _, ktype, _ in _fibers(E) if not ktype.is_good]
@@ -385,9 +379,15 @@ def bad_places(E: WeierstrassModel) -> list:
 
 def deg_omega(E: WeierstrassModel) -> int:
     """Degree of the sheaf of invariant differentials: sum deg(v) k_v, as
-    Delta_min = Delta pi_v^(12 k_v) and div Delta has degree 0.  k_v is read by
-    trial division, so the degree check of ``sections.divisor`` stays independent."""
-    return sum(v.degree * twist_exponent(E, v) for v in curve_places(E))
+    Delta_min = Delta pi_v^(12 k_v) and div Delta has degree 0."""
+    return _deg_omega(E, _fibers(E))
+
+
+def _deg_omega(E: WeierstrassModel, rows: list) -> int:
+    """``deg_omega`` over the places of ``_fibers(E, ...)`` rows, every one where
+    k_v can be nonzero.  k_v is read by trial division, not off the rows, so
+    the degree check of ``sections._divisor`` stays independent of the kernel."""
+    return sum(v.degree * twist_exponent(E, v) for v, *_ in rows)
 
 
 def intersection_with_zero(E: WeierstrassModel, P: CurvePoint, v: Place) -> int:

@@ -292,13 +292,6 @@ class Place:
     def degree(self) -> int:
         return 1 if self.pi is None else self.pi.degree
 
-    def uniformizer(self) -> FieldElement:
-        """pi(t), or 1/t at infinity."""
-        if self.pi is None:
-            one = Poly.one(self.field.constants)
-            return FieldElement(self.field, one, Poly.x(self.field.constants))
-        return FieldElement(self.field, self.pi)
-
     def __eq__(self, other):
         return (
             isinstance(other, Place)
@@ -345,14 +338,10 @@ def places_of_poly(q: Poly, field: FunctionField) -> list:
     return [(Place._trusted(field, g), m) for g, m in factor(q)]
 
 
-def support_places(*fs: FieldElement) -> set:
-    """Infinity and the factors of every numerator and denominator of fs."""
-    return set(_local_orders(*fs))
-
-
 def _local_orders(*fs: FieldElement) -> dict:
-    """{place: [ord f for f in fs]} over ``support_places(*fs)``, read off
-    the divisors of fs; a zero f has order INF."""
+    """{place: [ord f for f in fs]} over infinity and the factors of every
+    numerator and denominator of fs, read off their divisors; a zero f has
+    order INF."""
     divs = [None if f.is_zero() else dict(divisor_of_function(f)) for f in fs]
     places = {fs[0].field.infinity()}.union(*(d for d in divs if d))
     return {v: [INF if d is None else d.get(v, 0) for d in divs] for v in places}

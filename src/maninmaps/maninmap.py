@@ -32,9 +32,9 @@ from .elliptic import (
     RatX,
     WeierstrassModel,
     XPoly,
+    _deg_omega,
     _fibers,
     _gauss_manin,
-    deg_omega,
 )
 from .errors import ConsistencyError, HypothesisError, InputError, NotFoundError
 from .funcfield import CoverMap, FieldElement, Place
@@ -328,13 +328,19 @@ def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
     ord_v(j - 1728) = 2b and ord_v(dj) = 2a + b + ord_v(delta) + 10k_v, less
     2 at infinity, where dt has a double pole.
     """
+    return _exceptional_set(E)[0]
+
+
+def _exceptional_set(E: WeierstrassModel) -> tuple:
+    """(``exceptional_set(E)``, the ``_fibers(E, delta)`` rows it classified)."""
     if E.field.char != 0:
         raise InputError("the exceptional set is a characteristic-0 notion")
     delta = _gauss_manin(E)[1]
     if delta.is_zero():
         raise HypothesisError("isotrivial curve: dj vanishes identically")
+    rows = _fibers(E, delta)
     entries = []
-    for v, k, ktype, (o4, o6, _, o_delta) in _fibers(E, delta):
+    for v, k, ktype, (o4, o6, _, o_delta) in rows:
         if not ktype.is_good:
             entries.append((v, REASON_BAD))
             continue
@@ -349,7 +355,7 @@ def exceptional_set(E: WeierstrassModel) -> ExceptionalSet:
                 entries.append((v, REASON_J1728))
         elif o_dj > 0:
             entries.append((v, REASON_DJ))
-    return ExceptionalSet(entries)
+    return ExceptionalSet(entries), rows
 
 
 class TangencyReport:
@@ -375,21 +381,22 @@ def tangency_report(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> Tangen
     size is bounded by 4g - 4 - d + |S| with g = 0.  A zero section (P was
     torsion, or in the kernel for another reason) is reported as such.
 
-    d = deg omega is read once and passed to ``sections._divisor``.  The
+    The ``_fibers(E, delta)`` pass that classifies S gives the places of
+    d = deg omega (k_v by trial division) and the twists of ``_divisor``.  The
     bound needs no check of its own: ``_divisor`` checks deg div = -4 - d
     (weight -1, m = 2) and the floors give J >= -1 on S, so the weighted sum
     of J off S is -4 - d - sum_S deg(v) J_v <= -4 - d + |S| = bound.
     """
-    S = exceptional_set(E)
+    S, rows = _exceptional_set(E)
     section = manin_section(E, L, P)
-    d = deg_omega(E)
+    d = _deg_omega(E, rows)
     bound = -4 - d + S.size
     if section.is_zero():
         return TangencyReport(
             section=section, section_divisor=None, exceptional=S, orders={},
             t_complex=[], contact_orders={}, d=d, bound=bound, zero_section=True,
         )
-    div = _divisor(section, d)
+    div = _divisor(section, d, rows)
     orders = {v: div.ord(v) for v in set(div.support()) | set(S.places())}
     for v, J in orders.items():
         if v in S:

@@ -21,6 +21,7 @@ from .elliptic import (
     CurvePoint,
     KodairaType,
     WeierstrassModel,
+    _deg_omega,
     _fiber_at,
     _fibers,
     _gauss_manin,
@@ -37,7 +38,7 @@ from .funcfield import (
     places_of_poly,
 )
 from .polynomials import Poly
-from .sections import DivisorReport, GradedSection, divisor
+from .sections import DivisorReport, GradedSection, _divisor, divisor
 
 
 def _require_charp(E: WeierstrassModel) -> int:
@@ -198,8 +199,9 @@ def reduction_table_report(E: WeierstrassModel) -> list:
     good reduction and order 0, which the table allows.
     """
     p = _require_charp(E)
-    lam_div = divisor(kodaira_spencer_section(E))
-    types = {v: ktype for v, _, ktype, _ in _fibers(E)}
+    fibers = _fibers(E)
+    lam_div = _divisor(kodaira_spencer_section(E), _deg_omega(E, fibers), fibers)
+    types = {v: ktype for v, _, ktype, _ in fibers}
     rows = []
     for v in sorted(set(lam_div.support()) | set(types), key=lambda q: q.sort_key()):
         ktype = types.get(v, KodairaType("I", 0))  # I0 off the curve places
@@ -283,21 +285,22 @@ def descent_divisor(E: WeierstrassModel, P: CurvePoint) -> DescentDivisor:
     """
     _require_charp(E)
     E, P = _short_with_point(E, P)
-    bad = bad_places(E)
-    if any(not kt.is_semistable for _, kt in bad):
+    rows = _fibers(E)
+    if any(not kt.is_semistable for _, _, kt, _ in rows):
         raise HypothesisError("descent divisor needs everywhere semistable reduction")
-    return _descent_divisor(E, P, bad, divisor(kodaira_spencer_section(E)))
+    lam_div = _divisor(kodaira_spencer_section(E), _deg_omega(E, rows), rows)
+    return _descent_divisor(E, P, [(v, kt) for v, _, kt, _ in rows], lam_div)
 
 
-def _descent_divisor(E: WeierstrassModel, P: CurvePoint, bad,
+def _descent_divisor(E: WeierstrassModel, P: CurvePoint, types,
                      lam_div: DivisorReport) -> DescentDivisor:
-    """descent_divisor on a short model, given its bad places and the
-    divisor of the twisted differential."""
+    """descent_divisor on a short model, given [(v, fiber type)] over (at
+    least) its bad places and the divisor of the twisted differential."""
     p = E.field.char
-    zeros = lam_div.positive_part()
-    poles = lam_div.negative_part()
+    zeros = DivisorReport([(v, o) for v, o in lam_div.entries if o > 0])
+    poles = DivisorReport([(v, -o) for v, o in lam_div.entries if o < 0])
     p_entries = []
-    for v, kt in bad:
+    for v, kt in types:
         if kt.m >= 1 and kt.m % p == 0 and component_order(E, P, v) % p == 0:
             p_entries.append((v, 1))
     p_part = DivisorReport(p_entries)
@@ -401,7 +404,9 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
     cleared model is integral, so k_v <= 0 at finite places and a pole needs
     ord_v(psi_n) > k_v: always at k_v < 0; at k_v = 0 when pi_v divides f_n,
     or 16 y0^4 with n even (``_division_values``' f run mod pi_v).  Only there,
-    and at infinity, are valuations taken.
+    and at infinity, are valuations taken.  Two checks guard kernels: the
+    twist c^w clears a weight-w denominator that ``factor`` splits fully,
+    and a pole of x(nP) has even order (2 ord y = 3 ord x).
 
     Off the special set, the squarefree test at even n = 2m sees only the
     factor of psi_n that can hold places of rank n: y0 at n = 2, f_4 at 4 and
@@ -432,7 +437,7 @@ def tangency_scan(E: WeierstrassModel, P: CurvePoint, n_max: int,
         if not val.den.is_one():
             raise ConsistencyError(
                 "denominator clearing failed: %s keeps the denominator %s"
-                % (name, val.den)
+                % (name, val.den.to_str(K.var))
             )
     Escan = WeierstrassModel.short(K, a4, a6)
 

@@ -7,14 +7,15 @@ line).  The order at a place is computed against the place-minimal model, so
 it does not depend on which short Weierstrass model the value was written
 in; the correction is kappa times the local twist exponent, plus -2m at
 infinity where d(var) has its double pole.  ``divisor`` reads its orders off
-the divisors of the value, a4 and a6 (``funcfield.divisor_of_function``).
+the divisor of the value (``funcfield.divisor_of_function``) and the twists
+k_v of one ``elliptic._fibers`` pass.
 """
 
 from __future__ import annotations
 
-from .elliptic import WeierstrassModel, _twist, deg_omega, twist_exponent
+from .elliptic import WeierstrassModel, _deg_omega, _fibers, twist_exponent
 from .errors import ConsistencyError, InputError
-from .funcfield import FieldElement, Place, _local_orders, divisor_of_function, ord_at
+from .funcfield import FieldElement, Place, divisor_of_function, ord_at
 
 
 class GradedSection:
@@ -77,13 +78,6 @@ class DivisorReport:
     def support(self) -> list:
         return [p for p, _ in self.entries]
 
-    def positive_part(self) -> "DivisorReport":
-        return DivisorReport([(p, o) for p, o in self.entries if o > 0])
-
-    def negative_part(self) -> "DivisorReport":
-        """Poles, recorded with positive multiplicities."""
-        return DivisorReport([(p, -o) for p, o in self.entries if o < 0])
-
     def scale(self, n: int) -> "DivisorReport":
         return DivisorReport([(p, n * o) for p, o in self.entries])
 
@@ -114,21 +108,22 @@ def ord_section(S: GradedSection, v: Place) -> int:
 def divisor(S: GradedSection) -> DivisorReport:
     """Full divisor of a nonzero graded section.
 
-    The divisor of the value, plus weight * k_v where the model needs a twist
-    (off the support of a4 and a6, k_v = 0), less 2m at infinity; the degree
-    identity degree = -2 m + weight * deg_omega is checked before returning.
+    The divisor of the value, plus weight * k_v from one ``elliptic._fibers``
+    pass, less 2m at infinity; the degree identity degree = -2 m + weight *
+    deg_omega, with k_v read by trial division at the pass's places, is checked.
     """
-    return _divisor(S, deg_omega(S.model))
+    rows = _fibers(S.model)
+    return _divisor(S, _deg_omega(S.model, rows), rows)
 
 
-def _divisor(S: GradedSection, d: int) -> DivisorReport:
-    """``divisor`` with d = deg_omega(S.model) given, for a report that has it."""
+def _divisor(S: GradedSection, d: int, rows: list) -> DivisorReport:
+    """``divisor`` given d = ``_deg_omega(S.model, rows)`` and the rows of a
+    report's ``_fibers(S.model, ...)`` pass."""
     if S.is_zero():
         raise InputError("divisor of the zero section")
-    E = S.model
-    twist = [(v, S.weight * _twist(*o)) for v, o in _local_orders(E.a4, E.a6).items()]
+    twist = [(v, S.weight * k) for v, k, _, _ in rows]
     report = DivisorReport(
-        divisor_of_function(S.value) + twist + [(E.field.infinity(), -2 * S.diff_degree)]
+        divisor_of_function(S.value) + twist + [(S.model.field.infinity(), -2 * S.diff_degree)]
     )
     expected = -2 * S.diff_degree + S.weight * d
     if report.degree != expected:

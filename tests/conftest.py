@@ -133,6 +133,22 @@ def place(K, ints):
     return K.place(K.poly(ints))
 
 
+def count_calls(monkeypatch, names):
+    """{name: 0} for library functions, each wrapped where a library module
+    binds it so that every call through the library adds 1."""
+    from maninmaps import elliptic, funcfield, maninmap, pdescent, sections
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        for module in (elliptic, funcfield, maninmap, pdescent, sections):
+            if hasattr(module, name):
+                def counting(*args, _inner=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _inner(*args)
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def reduction_corpus():
     """Curves spanning every reduction type the order table distinguishes.
 

@@ -7,8 +7,8 @@ each order again by trial division with ``ord_section`` or
 ``ord_differential``.  The tests compare the kernel's divisors against it.
 """
 
-from maninmaps.elliptic import curve_places
-from maninmaps.funcfield import ord_differential, support_places
+from maninmaps.elliptic import _fibers
+from maninmaps.funcfield import _local_orders, ord_differential
 from maninmaps.sections import ord_section
 
 
@@ -18,10 +18,10 @@ def _sorted(pairs):
 
 def section_divisor(S) -> list:
     """[(Place, ord)] of a nonzero graded section, sorted, zeros left out."""
-    places = set(curve_places(S.model)) | support_places(S.value)
+    places = {v for v, *_ in _fibers(S.model)} | set(_local_orders(S.value))
     return _sorted((v, ord_section(S, v)) for v in places)
 
 
 def differential_divisor(omega) -> list:
     """[(Place, ord)] of a nonzero differential, sorted, zeros left out."""
-    return _sorted((v, ord_differential(omega, v)) for v in support_places(omega.coefficient))
+    return _sorted((v, ord_differential(omega, v)) for v in _local_orders(omega.coefficient))

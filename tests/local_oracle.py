@@ -12,8 +12,14 @@ against it.
 from maninmaps import KodairaType, Poly, WeierstrassModel, scalar_mul
 from maninmaps.elliptic import twist_exponent
 from maninmaps.errors import ConsistencyError, HypothesisError, InputError
-from maninmaps.funcfield import ord_at
+from maninmaps.funcfield import FieldElement, ord_at
 from maninmaps.pdescent import _short_with_point
+
+
+def uniformizer(v):
+    """pi(t), or 1/t at infinity."""
+    K = v.field
+    return K.one / K.gen if v.is_infinity else FieldElement(K, v.pi)
 
 
 def minimal_model_at(E: WeierstrassModel, v):
@@ -25,7 +31,7 @@ def minimal_model_at(E: WeierstrassModel, v):
     k = twist_exponent(E, v)
     if k == 0:
         return E, 0
-    pi = v.uniformizer()
+    pi = uniformizer(v)
     return WeierstrassModel.short(E.field, E.a4 * pi ** (4 * k), E.a6 * pi ** (6 * k)), k
 
 
@@ -113,7 +119,7 @@ def in_identity_component(E: WeierstrassModel, P, v) -> bool:
         return True
     E, P = _short_with_point(E, P)
     Emin, k = minimal_model_at(E, v)
-    pi = v.uniformizer()
+    pi = uniformizer(v)
     x = P.x * pi ** (2 * k)
     y = P.y * pi ** (3 * k)
     if ord_at(x, v) < 0:

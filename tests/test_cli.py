@@ -295,6 +295,47 @@ def test_exit_two_on_non_ascii_option_integers(capsys):
             assert "invalid integer" in capsys.readouterr().err
 
 
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit of 4,300 digits, whatever PYTHONINTMAXSTRDIGITS says."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_exit_two_on_manifest_integer_past_the_digit_limit(capsys, tmp_path, default_digit_limit):
+    # a 5,000-digit n_max is an integer, refused for its length, which the
+    # message gives instead of echoing the digits
+    digits = "9" * 5000
+    man = tmp_path / "long-nmax.cfg"
+    man.write_text(_LEGENDRE + "[params]\nn_max = %s\n" % digits)
+    code, doc = run_json(capsys, "invariants", str(man))
+    assert code == 2
+    assert doc["error"] == "n_max has 5000 digits, past the interpreter's limit of 4300 digits for an integer"
+
+
+def test_exit_two_on_option_integer_past_the_digit_limit(capsys, default_digit_limit):
+    digits = "9" * 5000
+    with pytest.raises(SystemExit) as exc:
+        main(["descent-bound", str(MANIFESTS / "legendre-f5.cfg"), "--n-max", digits])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --n-max: the value has 5000 digits, past the interpreter's limit of 4300" in err
+    assert digits not in err
+
+
+def test_descent_bound_names_the_iv_star_fiber_at_infinity(capsys, tmp_path):
+    # over F_7, at infinity ord a4 = 0 and ord a6 = -2 give k = 1 and a minimal
+    # discriminant of order -4 + 12 = 8: type IV*, the one additive fiber
+    man = tmp_path / "ivstar-f7.cfg"
+    man.write_text("[field]\ncharacteristic = 7\n[curve]\ncubic = x^3 - 2*x + 4*t^2 - 1\n"
+                   "[points]\nP = -1, -2*t\n")
+    code, doc = run_json(capsys, "descent-bound", str(man))
+    assert code == 1
+    assert doc["error"] == "the tangency bound needs semistable reduction; IV* at infinity"
+
+
 def test_exit_one_on_hypothesis_failure(capsys, tmp_path):
     # additive reduction: the semistable tangency bound must refuse
     man = tmp_path / "additive.cfg"

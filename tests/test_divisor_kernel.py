@@ -11,9 +11,14 @@
 - The fiber pass ``elliptic._fibers`` agrees with trial division: on drawn
   short models over Q(t) and F_7(t), ``bad_places`` equals ``kodaira_type``
   at each curve place, and 12 deg omega is the sum of minimal discriminant
-  orders.  Its readers (``curve_places``, ``bad_places``, the order table
-  and the tangency scan) call none of ``ord_at``, ``kodaira_type`` and
-  ``twist_exponent``.
+  orders.  Its readers (``bad_places``, the order table and the tangency
+  scan) call none of ``ord_at``, ``kodaira_type`` and ``twist_exponent``.
+  deg omega alone reads k_v by trial division at the pass's places
+  (``elliptic._deg_omega``), so these tests fix it beforehand.
+- Each reader of the local data makes one ``_fibers`` pass: ``divisor``,
+  ``reduction_table_report`` and ``descent_divisor`` (counting spies); the
+  exceptional set's pass serves the whole tangency report
+  (``test_maninmap.py``).
 """
 
 import pytest
@@ -23,7 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import divisor_oracle
-from conftest import legendre, legendre_cover_2, place
+from conftest import count_calls, legendre, legendre_cover_2, place
 from maninmaps import (
     Differential,
     FunctionField,
@@ -31,6 +36,8 @@ from maninmaps import (
     PrimeField,
     QQ,
     WeierstrassModel,
+    descent_bound_report,
+    descent_divisor,
     divisor,
     divisor_of_differential,
     exceptional_set,
@@ -82,7 +89,7 @@ def test_section_and_differential_divisors_match_the_place_by_place_oracle(S):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)).flatmap(short_models))
 def test_fiber_pass_matches_trial_division(E):
-    places = elliptic.curve_places(E)
+    places = [v for v, *_ in elliptic._fibers(E)]
     types = [(v, elliptic.kodaira_type(E, v)) for v in places]
     assert elliptic.bad_places(E) == [(v, kt) for v, kt in types if not kt.is_good]
     disc = E.discriminant()
@@ -109,7 +116,7 @@ def test_divisor_readers_take_no_single_place_valuation(monkeypatch):
     expected_set = exceptional_set(legendre(K)).entries
     # the degree check stays an independent computation by trial division
     d = elliptic.deg_omega(E)
-    monkeypatch.setattr(sections, "deg_omega", lambda _: d)
+    monkeypatch.setattr(sections, "_deg_omega", lambda *_: d)
     for module in (funcfield, elliptic, sections):
         _forbid(monkeypatch, module, "ord_at")
     _forbid(monkeypatch, Poly, "multiplicity_of")
@@ -124,19 +131,44 @@ def test_fiber_readers_take_no_single_place_valuation(monkeypatch):
     E, P, _ = legendre_cover_2(PrimeField(5))
     # s^2 + s + 1 is prime over F_5 and no curve place, so its k_v is the default 0
     watch = [place(E.field, [1, 1, 1]), *divisor(kodaira_spencer_section(E)).support()]
-    expected_places = elliptic.curve_places(E)
+    expected_places = [v for v, *_ in elliptic._fibers(E)]
     expected_bad = elliptic.bad_places(E)
     expected_rows = [(r.place, r.ktype, r.ell, r.ok) for r in reduction_table_report(E)]
     expected_iotas = tangency_scan(E, P, 12, watch_places=watch).iotas
     assert watch[0] not in expected_places
     d = elliptic.deg_omega(E)
-    monkeypatch.setattr(sections, "deg_omega", lambda _: d)
+    for module in (sections, pdescent):
+        monkeypatch.setattr(module, "_deg_omega", lambda *_: d)
     for module in (funcfield, elliptic, sections, pdescent, maninmap):
         for name in ("ord_at", "kodaira_type", "twist_exponent"):
             if hasattr(module, name):
                 _forbid(monkeypatch, module, name)
-    assert elliptic.curve_places(E) == expected_places
+    assert [v for v, *_ in elliptic._fibers(E)] == expected_places
     assert elliptic.bad_places(E) == expected_bad
     rows = [(r.place, r.ktype, r.ell, r.ok) for r in reduction_table_report(E)]
     assert rows == expected_rows
     assert tangency_scan(E, P, 12, watch_places=watch).iotas == expected_iotas
+
+
+READERS = {
+    "divisor": lambda E, P: divisor(kodaira_spencer_section(E)),
+    "reduction_table_report": lambda E, P: reduction_table_report(E),
+    "descent_divisor": descent_divisor,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_each_reader_makes_one_fiber_pass(monkeypatch, reader):
+    E, P, _ = legendre_cover_2(PrimeField(5))
+    calls = count_calls(monkeypatch, ("_fibers", "_local_orders"))
+    READERS[reader](E, P)
+    assert calls == {"_fibers": 1, "_local_orders": 1}
+
+
+def test_descent_bound_report_passes(monkeypatch):
+    # one pass per divisor (of lambda, nu and A), one each for the bad places,
+    # deg omega and the scan; deg omega is read in each divisor and once more
+    E, P, _ = legendre_cover_2(PrimeField(5))
+    calls = count_calls(monkeypatch, ("_deg_omega", "_fibers", "_local_orders", "ord_at"))
+    descent_bound_report(E, P, 30)
+    assert calls == {"_deg_omega": 4, "_fibers": 6, "_local_orders": 6, "ord_at": 72}

@@ -382,14 +382,14 @@ def test_deg_omega_constant_curve(Kt):
 
 
 def test_twelve_deg_omega_is_discriminant_sum(Kt):
-    from maninmaps.elliptic import curve_places, twist_exponent
+    from maninmaps.elliptic import _fibers, twist_exponent
 
     for E in (legendre(Kt), WeierstrassModel.short(Kt, Kt.gen, Kt.gen)):
         Es, _ = E.depress() if not E.is_short else (E, None)
         disc = Es.discriminant()
         total = sum(
             v.degree * (ord_at(disc, v) + 12 * twist_exponent(Es, v))
-            for v in curve_places(Es)
+            for v, *_ in _fibers(Es)
         )
         assert total == 12 * deg_omega(E)
 

@@ -1,9 +1,9 @@
 """The exceptional set on random short curves y^2 = x^3 + a4 x + a6 over Q(t).
 
-``exceptional_set`` takes its candidate places from ``curve_places`` and the
+``exceptional_set`` takes its candidate places from ``_fibers`` and the
 numerator of dj only, and decides j = 0 and j = 1728 from the orders of a4
 and a6.  Two properties make that sound: every zero of j and of j - 1728 is
-a place of ``curve_places``, and the set equals the one built by factoring
+a place of ``_fibers``, and the set equals the one built by factoring
 j, j - 1728 and dj outright.
 """
 
@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maninmaps import FunctionField, QQ, WeierstrassModel, exceptional_set
-from maninmaps.elliptic import curve_places, kodaira_type
+from maninmaps.elliptic import _fibers, kodaira_type
 from maninmaps.funcfield import ord_at, places_of_poly
 from maninmaps.maninmap import REASON_BAD, REASON_DJ, REASON_J0, REASON_J1728
 
@@ -36,7 +36,7 @@ def factored_exceptional_set(E):
     """The set with candidates from the factors of j, j - 1728 and dj."""
     j = E.j_invariant()
     jp, j1728 = j.derive(), j - 1728
-    candidates = set(curve_places(E))
+    candidates = {v for v, *_ in _fibers(E)}
     for q in (j.num, j1728.num, jp.num):
         candidates.update(v for v, _ in places_of_poly(q, K))
     out = set()
@@ -60,7 +60,7 @@ def factored_exceptional_set(E):
 def test_zeros_of_j_and_j_minus_1728_lie_in_curve_places(a4, a6):
     E = short_curve(a4, a6)
     j = E.j_invariant()
-    places = set(curve_places(E))
+    places = {v for v, *_ in _fibers(E)}
     for q in (j.num, (j - 1728).num):
         assert {v for v, _ in places_of_poly(q, K)} <= places
 

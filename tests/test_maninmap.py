@@ -31,6 +31,7 @@ from maninmaps import (
 from maninmaps.maninmap import REASON_BAD, REASON_DJ, REASON_J1728
 
 from conftest import (
+    count_calls,
     fresh,
     legendre,
     legendre_biquadratic,
@@ -363,25 +364,18 @@ def test_section_degree_identity(base):
 
 
 def test_tangency_report_reads_deg_omega_once(monkeypatch):
-    # one trial-division deg omega, passed to the section's divisor, and at
-    # most three divisor-kernel passes: the exceptional set's fibers (with
-    # delta), deg omega's curve places, and the divisor's twists
+    # one divisor-kernel pass: the exceptional set's fibers (with delta) give
+    # the rows that deg omega and the divisor's twists read; deg omega still
+    # reads k_v by trial division, two ord_at calls at each of those 11 places
     from pathlib import Path
 
-    import maninmaps
     from maninmaps.cli import Manifest
 
     man = Manifest(str(Path(__file__).resolve().parent.parent / "manifests" / "legendre-biquadratic.cfg"))
     E, L, P = man.model, man.operator, man.pick_point()
-    calls = {"deg_omega": 0, "_local_orders": 0}
-    for name in calls:
-        for module in (maninmaps.elliptic, maninmaps.funcfield, maninmaps.maninmap, maninmaps.sections):
-            if hasattr(module, name):
-                def counting(*args, _inner=getattr(module, name), _name=name):
-                    calls[_name] += 1
-                    return _inner(*args)
-                monkeypatch.setattr(module, name, counting)
+    calls = count_calls(monkeypatch, ("_deg_omega", "_fibers", "_local_orders",
+                                      "divisor_of_function", "ord_at"))
     rep = tangency_report(E, L, P)
     assert not rep.zero_section
-    assert calls["deg_omega"] == 1
-    assert calls["_local_orders"] <= 3
+    assert calls == {"_deg_omega": 1, "_fibers": 1, "_local_orders": 1,
+                     "divisor_of_function": 5, "ord_at": 22}

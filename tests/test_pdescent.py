@@ -32,7 +32,7 @@ from maninmaps import (
     tangency_scan,
 )
 from maninmaps.cli import Manifest
-from maninmaps.elliptic import curve_places, twist_exponent
+from maninmaps.elliptic import _fibers, twist_exponent
 from maninmaps.pdescent import _short_with_point, _table_expectation
 from maninmaps.polynomials import _DensePoly
 
@@ -339,7 +339,7 @@ def test_descent_divisor_needs_semistable(K5):
 
 def test_scan_agrees_with_group_law_oracle():
     from maninmaps import intersection_with_zero
-    from maninmaps.funcfield import support_places
+    from maninmaps.funcfield import _local_orders
     from maninmaps.pdescent import _short_with_point
 
     E, P, _ = legendre_cover_2(PrimeField(5))
@@ -348,7 +348,7 @@ def test_scan_agrees_with_group_law_oracle():
     oracle = {}
     for n in (1, 2, 3, 4, 6, 7, 8):
         Q = scalar_mul(n, P)
-        for v in support_places(Q.x):
+        for v in _local_orders(Q.x):
             i = intersection_with_zero(E, Q, v)
             if i > 0:
                 oracle[v] = max(oracle.get(v, 0), i)
@@ -470,7 +470,7 @@ def _local_mismatches(E, P, seen):
         if multiples[-1].is_zero:
             break
     mismatches = []
-    for v in curve_places(E):
+    for v, *_ in _fibers(E):
         k = twist_exponent(E, v)
         if k and not v.is_infinity:
             seen.add("finite k > 0" if k > 0 else "finite k < 0")

@@ -1,4 +1,4 @@
-"""Every refusal and internal check of ``elliptic``, ``maninmap`` and ``sections``.
+"""Every refusal and internal check of ``elliptic``, ``maninmap``, ``pdescent`` and ``sections``.
 
 - Each ``InputError`` and ``HypothesisError`` is reached through the public
   API, with its exact type, its message and the module that raises it
@@ -34,6 +34,7 @@ from maninmaps import (
     XPoly,
     add,
     bad_places,
+    component_order,
     divisor,
     exceptional_set,
     find_pf,
@@ -41,12 +42,13 @@ from maninmaps import (
     parse_curve_function,
     pullback_pf,
     tangency_report,
+    tangency_scan,
     verify_pf,
 )
-from maninmaps import elliptic, maninmap, sections
+from maninmaps import elliptic, maninmap, pdescent, sections
 from maninmaps.cli import Manifest, main
 
-from conftest import legendre, legendre_operator, place
+from conftest import legendre, legendre_cover_2, legendre_operator, place
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -59,11 +61,24 @@ def f5():
     return FunctionField(PrimeField(5), "t")
 
 
+def f7():
+    return FunctionField(PrimeField(7), "t")
+
+
 def f5_operator():
     """A hand-built operator over F_5: PFOperator itself takes any field."""
     E = legendre(f5())
     K = E.field
     return E, PFOperator(K.one, K.zero, K.one, parse_curve_function("y", E))
+
+
+def iv_star_f7(scale=0):
+    """y^2 = x^3 - 2x + 4t^2 - 1 over F_7, IV* at infinity, with P = (-1, -2t),
+    rescaled by c = t^scale."""
+    K = f7()
+    t, c = K.gen, K.gen ** scale
+    E = WeierstrassModel.short(K, K.from_int(-2) * c ** 4, (4 * t ** 2 - 1) * c ** 6)
+    return E, CurvePoint(E, -c ** 2, -2 * t * c ** 3)
 
 
 def frobenius_cover():
@@ -113,6 +128,9 @@ REFUSALS = [
      lambda: GradedSection(qt().one, 1, 0, legendre(qt()))
      * GradedSection(qt().one, 1, 0, legendre(qt()).rescale(qt().from_int(2))),
      InputError, "sections on different models"),
+    ("pdescent", "component-order-at-an-additive-place",
+     lambda: component_order(*iv_star_f7(), f7().infinity()),
+     HypothesisError, "component order computed only at semistable places"),
 ]
 
 
@@ -181,20 +199,34 @@ def fault_pole_off_the_exceptional_set(monkeypatch):
     E, L, P = tangency_biquadratic()
     v = place(E.field, [-7, 1])
     assert v not in exceptional_set(E)
-    monkeypatch.setattr(maninmap, "_divisor", lambda S, d: DivisorReport([(v, -1)]))
+    monkeypatch.setattr(maninmap, "_divisor", lambda S, d, rows: DivisorReport([(v, -1)]))
     tangency_report(E, L, P)
 
 
+def fault_denominator_left_in_the_scan(monkeypatch):
+    # without the factors of the denominators no clearing is found
+    E, P = iv_star_f7(-1)
+    monkeypatch.setattr(pdescent, "places_of_poly", lambda q, K: [])
+    tangency_scan(E, P, 4)
+
+
+def fault_odd_pole_in_the_scan(monkeypatch):
+    real = pdescent._poly_order
+    monkeypatch.setattr(pdescent, "_poly_order", lambda q, v: real(q, v) - 1)
+    E, P, _ = legendre_cover_2(PrimeField(5))
+    tangency_scan(E, P, 12)
+
+
 def fault_deg_omega_in_report(monkeypatch):
-    deg_omega = maninmap.deg_omega
-    monkeypatch.setattr(maninmap, "deg_omega", lambda E: deg_omega(E) + 1)
+    deg_omega = maninmap._deg_omega
+    monkeypatch.setattr(maninmap, "_deg_omega", lambda E, rows: deg_omega(E, rows) + 1)
     tangency_report(*tangency_biquadratic())
 
 
 def fault_deg_omega_in_divisor(monkeypatch):
     E, L = legendre_operator(qt())
-    deg_omega = sections.deg_omega
-    monkeypatch.setattr(sections, "deg_omega", lambda E: deg_omega(E) + 1)
+    deg_omega = sections._deg_omega
+    monkeypatch.setattr(sections, "_deg_omega", lambda E, rows: deg_omega(E, rows) + 1)
     divisor(GradedSection(L.A, -1, 2, E))
 
 
@@ -211,6 +243,10 @@ FAULTS = [
      r"solved operator failed verification on y\^2 = "),
     ("maninmap", "pole-off-the-exceptional-set", fault_pole_off_the_exceptional_set,
      r"negative order -1 away from the exceptional set at u - 7$"),
+    ("pdescent", "denominator-left-in-the-scan", fault_denominator_left_in_the_scan,
+     r"denominator clearing failed: a4 keeps the denominator t\^4$"),
+    ("pdescent", "odd-pole-in-the-scan", fault_odd_pole_in_the_scan,
+     r"odd pole order of x\(1P\) at infinity$"),
     ("sections", "deg-omega-in-report", fault_deg_omega_in_report,
      r"divisor degree -6 does not match -2m \+ weight\*deg_omega = -7"),
     ("sections", "deg-omega-in-divisor", fault_deg_omega_in_divisor,
@@ -233,12 +269,14 @@ def test_internal_check(module, inject, message, monkeypatch):
     ("find-pf", "legendre.cfg", "_witness", "solved operator failed verification"),
 ])
 def test_internal_check_exits_three(capsys, monkeypatch, command, manifest, patch, message):
-    real = getattr(maninmap, patch)
+    # patch names the fault: deg omega off by one at its seam, or a failed residual
+    name = {"deg_omega": "_deg_omega"}.get(patch, patch)
+    real = getattr(maninmap, name)
     fault = {
-        "deg_omega": lambda E: real(E) + 1,
+        "deg_omega": lambda E, rows: real(E, rows) + 1,
         "_witness": lambda *a: (real(*a)[0], False),
     }[patch]
-    monkeypatch.setattr(maninmap, patch, fault)
+    monkeypatch.setattr(maninmap, name, fault)
     code = main([command, str(MANIFESTS / manifest)])
     doc = json.loads(capsys.readouterr().out)
     assert code == 3

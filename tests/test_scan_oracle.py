@@ -31,7 +31,7 @@ from maninmaps import (
 )
 from maninmaps import pdescent
 from maninmaps.cli import Manifest, run
-from maninmaps.elliptic import curve_places, twist_exponent
+from maninmaps.elliptic import _fibers, twist_exponent
 from maninmaps.errors import ConsistencyError, InputError
 from maninmaps.funcfield import ord_at, places_of_poly
 from maninmaps.pdescent import _short_with_point, _ward, _ward_start
@@ -76,7 +76,7 @@ def reference_contacts(E, P, n_max, watch_places=()):
     Escan, x0, y0, need = cleared_model(E, P)
     a4, a6 = Escan.a4, Escan.a6
 
-    special = set(curve_places(Escan))
+    special = {v for v, *_ in _fibers(Escan)}
     special.update(watch_places)
     special.update(need)
     special.add(K.infinity())
@@ -249,8 +249,8 @@ def test_scan_takes_no_valuation_where_psi_n_is_a_unit(monkeypatch):
     watch = _watch(E)
     Escan, x0, y0, need = cleared_model(E, P)
     psi = division_values_oracle(Escan.a4.num, Escan.a6.num, x0.num, y0.num, 31)
-    kv0 = {v for v in set(curve_places(Escan)) | watch | set(need)
-           if twist_exponent(Escan, v) == 0 and not v.is_infinity}
+    special = {v for v, *_ in _fibers(Escan)} | watch | set(need)
+    kv0 = {v for v in special if twist_exponent(Escan, v) == 0 and not v.is_infinity}
     calls = []
     orig = pdescent._poly_order
 
