@@ -16,9 +16,7 @@ from .elliptic import (
     add,
     bad_places,
     deg_omega,
-    intersection_with_zero,
     kodaira_type,
-    negate,
     parse_curve_function,
     scalar_mul,
     value_at_O,
@@ -33,20 +31,15 @@ from .errors import (
 )
 from .funcfield import (
     CoverMap,
-    Differential,
     FieldElement,
     FunctionField,
     Place,
     RatX,
     XPoly,
-    derive,
-    divisor_of_differential,
     divisor_of_function,
     ord_at,
-    ord_differential,
     parse,
     parse_element,
-    pullback,
 )
 from .maninmap import (
     ExceptionalSet,
@@ -67,8 +60,6 @@ from .pdescent import (
     descent_bound_report,
     descent_divisor,
     hasse_data,
-    hasse_invariant_section,
-    in_identity_component,
     kodaira_spencer_section,
     p_descent_section,
     p_descent_value,

@@ -171,17 +171,22 @@ class Manifest:
         return self.points[name]
 
 
+# An integer setting has at most this many digits, CPython's least nonzero
+# limit for int(str), so every accepted value reads and prints whatever
+# PYTHONINTMAXSTRDIGITS says.
+MAX_INT_DIGITS = 640
+
+
 def _manifest_int(text: str, name: str, message: str) -> int:
-    """An optional '-' and ASCII digits, else InputError(message); int() alone
-    also takes other Unicode digits and '_'."""
+    """An optional '-' and at most ``MAX_INT_DIGITS`` ASCII digits, else
+    InputError; int() alone also takes other Unicode digits and '_'."""
     body = text[1:] if text.startswith("-") else text
     if not (body.isascii() and body.isdigit()):
         raise InputError(message)
-    try:
-        return int(text)
-    except ValueError:  # past the interpreter's digit limit: name the length, not the digits
-        raise InputError("%s has %d digits, past the interpreter's limit of %d digits for an integer"
-                         % (name, len(body), sys.get_int_max_str_digits())) from None
+    if len(body) > MAX_INT_DIGITS:  # name the length, not the digits
+        raise InputError("%s has %d digits, past the limit of %d digits for an integer"
+                         % (name, len(body), MAX_INT_DIGITS))
+    return int(text)
 
 
 def _option_int(text: str) -> int:

@@ -4,14 +4,15 @@ Models are monic cubics y^2 = x^3 + c2 x^2 + c1 x + c0 with coefficients in
 K = k(t), char k = 0 or > 3.  The short form (c2 = 0) is required by the
 characteristic-p machinery; ``depress`` converts, shifting points along.
 
-Local data (twist exponents, Kodaira types, intersection numbers with the
-zero section) is read without building a second model: a quantity of weight
-w on the v-minimal model has order ord_v + w k_v, where k_v is the twist
-exponent.  ``_fiber`` alone turns the orders of a4, a6 and the discriminant
-into k_v and the fiber type (Tate, away from residue characteristic 2 and 3),
-so it alone decides badness; readers of many places take those orders, and
-any others they need, from one divisor-kernel pass, ``_fibers``, and readers
-of one place from ``ord_at``.
+Local data (twist exponents, Kodaira types) is read without building a
+second model: a quantity of weight w on the v-minimal model has order
+ord_v + w k_v, where k_v is the twist exponent.  ``_fiber`` alone turns the
+orders of a4, a6 and the discriminant into k_v and the fiber type (Tate,
+away from residue characteristic 2 and 3), so it alone decides badness;
+readers of many places take those orders, and any others they need, from
+one divisor-kernel pass, ``_fibers``, and readers of one place from
+``ord_at``.  Contacts of a section with the zero section are the business
+of ``pdescent.tangency_scan``.
 """
 
 from __future__ import annotations
@@ -231,10 +232,6 @@ def add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     return CurvePoint(E, x3, y3, check=False)
 
 
-def negate(P: CurvePoint) -> CurvePoint:
-    return -P
-
-
 def scalar_mul(n: int, P: CurvePoint) -> CurvePoint:
     if n < 0:
         return scalar_mul(-n, -P)
@@ -388,29 +385,6 @@ def _deg_omega(E: WeierstrassModel, rows: list) -> int:
     k_v can be nonzero.  k_v is read by trial division, not off the rows, so
     the degree check of ``sections._divisor`` stays independent of the kernel."""
     return sum(v.degree * twist_exponent(E, v) for v, *_ in rows)
-
-
-def intersection_with_zero(E: WeierstrassModel, P: CurvePoint, v: Place) -> int:
-    """Local intersection number of the section P with the zero section at v.
-
-    Only defined here at places of good or multiplicative reduction; additive
-    places are refused rather than guessed at.  On the v-minimal model a pole
-    of x makes x^3 dominate the cubic, so a point on the curve has 2 oy = 3 ox.
-    """
-    if P.is_zero:
-        raise InputError("the zero section meets itself everywhere")
-    k, ktype = _fiber_at(E, v)
-    if ktype.is_additive:
-        raise HypothesisError(
-            "intersection with the zero section needs semistable reduction at %s" % v
-        )
-    ox = ord_at(P.x + E.depress()[1], v) + 2 * k
-    if ox >= 0:
-        return 0
-    oy = ord_at(P.y, v) + 3 * k
-    if 3 * ox != 2 * oy:
-        raise ConsistencyError("pole orders %s, %s of x, y are inconsistent" % (ox, oy))
-    return -ox // 2
 
 
 # ---------------------------------------------------------------------------

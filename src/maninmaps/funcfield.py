@@ -327,10 +327,6 @@ def ord_at(f: FieldElement, place: Place):
     return k if k else -f.den.multiplicity_of(place.pi)
 
 
-def derive(f: FieldElement) -> FieldElement:
-    return f.derive()
-
-
 def places_of_poly(q: Poly, field: FunctionField) -> list:
     """Finite places in the support of a nonzero polynomial, with multiplicities."""
     if q.is_constant():
@@ -348,7 +344,11 @@ def _local_orders(*fs: FieldElement) -> dict:
 
 
 def divisor_of_function(f: FieldElement) -> list:
-    """The divisor of a nonzero rational function as [(Place, ord)]; degree 0."""
+    """The divisor of a nonzero rational function as [(Place, ord)]; degree 0.
+
+    A correct ``factor`` makes the degree 0, so the check cannot fire: the
+    finite orders of num (of den) have weighted sum deg num (deg den), and
+    infinity takes deg den - deg num."""
     if f.is_zero():
         raise InputError("the zero function has no divisor")
     out = places_of_poly(f.num, f.field)
@@ -359,50 +359,6 @@ def divisor_of_function(f: FieldElement) -> list:
     total = sum(p.degree * m for p, m in out)
     if total != 0:
         raise ConsistencyError("divisor of a function has degree %d" % total)
-    return sorted(out, key=lambda pm: pm[0].sort_key())
-
-
-class Differential:
-    """coefficient * d(var) on the projective line."""
-
-    __slots__ = ("coefficient",)
-
-    def __init__(self, coefficient: FieldElement):
-        self.coefficient = coefficient
-
-    @property
-    def field(self):
-        return self.coefficient.field
-
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero()
-
-    def __str__(self):
-        return "(%s) d%s" % (self.coefficient, self.field.var)
-
-
-def ord_differential(omega: Differential, place: Place) -> int:
-    """Order of a nonzero differential at a place.
-
-    d(var) is regular nonvanishing at every finite place (monic irreducibles
-    over a perfect constant field are separable) and has a double pole at
-    infinity, where var = 1/u gives d(var) = -u^-2 du.
-    """
-    if omega.is_zero():
-        raise InputError("order of the zero differential")
-    return ord_at(omega.coefficient, place) - (2 if place.is_infinity else 0)
-
-
-def divisor_of_differential(omega: Differential) -> list:
-    """Divisor of a nonzero differential: the coefficient's, less 2 at
-    infinity (see ``ord_differential``); degree -2 on the line."""
-    acc = dict(divisor_of_function(omega.coefficient))
-    inf = omega.field.infinity()
-    acc[inf] = acc.get(inf, 0) - 2
-    out = [(p, o) for p, o in acc.items() if o]
-    total = sum(p.degree * m for p, m in out)
-    if total != -2:
-        raise ConsistencyError("divisor of a differential has degree %d" % total)
     return sorted(out, key=lambda pm: pm[0].sort_key())
 
 
@@ -448,10 +404,6 @@ class CoverMap:
 
     def __str__(self):
         return "%s -> %s" % (self.target.var, self.image)
-
-
-def pullback(phi: CoverMap, f: FieldElement) -> FieldElement:
-    return phi.pullback(f)
 
 
 # ---------------------------------------------------------------------------

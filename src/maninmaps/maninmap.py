@@ -56,10 +56,6 @@ class PFOperator:
         self.F = F
         self._verified = None
 
-    @property
-    def model(self) -> WeierstrassModel:
-        return self.F.model
-
     def scale(self, c: FieldElement) -> "PFOperator":
         """The same operator rescaled: (cA, cB, cC, cF)."""
         cf = CurveFunction(self.F.model, self.F.rx * RatX.const(c), self.F.ry * RatX.const(c))
@@ -132,7 +128,7 @@ def verify_pf(E: WeierstrassModel, L: PFOperator) -> bool:
     By ``_witness`` this holds iff the x-part of F is constant in x, the
     witness equations are consistent, and the y-part of F is N/f^2; the
     last is tested by cross-multiplying the canonical fraction.  Only
-    E == L.model gets past the first checks, so the answer is kept on L.
+    E == L.F.model gets past the first checks, so the answer is kept on L.
     """
     if E.field.char != 0:
         raise InputError("operators with exactness witnesses live in characteristic 0")

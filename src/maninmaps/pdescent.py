@@ -100,11 +100,6 @@ def hasse_data(E: WeierstrassModel) -> HasseData:
     return HasseData(g[e], XPoly(K, g[e - 1 :: -1]), E)
 
 
-def hasse_invariant_section(E: WeierstrassModel) -> GradedSection:
-    """The Hasse invariant as a weight p-1 section."""
-    return hasse_data(E).section()
-
-
 def kodaira_spencer_section(E: WeierstrassModel) -> GradedSection:
     """The twisted differential a4/(18 a6) dj/j = 3 delta/(2 Delta) of weight -2.
 
@@ -217,7 +212,8 @@ def reduction_table_report(E: WeierstrassModel) -> list:
 
 def _node_contact(E: WeierstrassModel, P: CurvePoint, v: Place, k: int, ktype):
     """ord_v(x(P) - x_node) on the v-minimal model if P reduces to the node of
-    an I_m fiber (m >= 1), else 0 (an I0 fiber is smooth); k = k_v.
+    an I_m fiber (m >= 1), else 0 (an I0 fiber is smooth); k = k_v, and v is
+    semistable (``component_order``, the one caller, refuses the rest).
 
     On the v-minimal model x, y, a4, a6 pick up pi^(2k), pi^(3k), pi^(4k),
     pi^(6k), so every test below is an order ord_v + weight k.  A pole of x
@@ -226,21 +222,12 @@ def _node_contact(E: WeierstrassModel, P: CurvePoint, v: Place, k: int, ktype):
     and 2 a x + 3 b = 2 a (x - x_node).  Where x reduces to x_node, so does
     y to 0, as x_node is a double root of the reduced cubic.
     """
-    if P.is_zero:
+    if P.is_zero or ktype.is_good:
         return 0
     E, P = _short_with_point(E, P)
     if ord_at(P.x, v) + 2 * k < 0:
         return 0
-    if ktype.is_additive:
-        raise HypothesisError("additive reduction at %s; component test refused" % v)
-    if ktype.is_good:
-        return 0
     return max(0, ord_at(E.a4 * P.x * 2 + E.a6 * 3, v) + 6 * k)
-
-
-def in_identity_component(E: WeierstrassModel, P: CurvePoint, v: Place) -> bool:
-    """Whether P reduces to a smooth point of the v-minimal closed fiber (semistable v)."""
-    return _node_contact(E, P, v, *_fiber_at(E, v)) == 0
 
 
 def component_order(E: WeierstrassModel, P: CurvePoint, v: Place) -> int:

@@ -1,27 +1,20 @@
-"""Test-only oracle: divisors of sections and differentials, place by place.
+"""Test-only oracle: divisors of graded sections, place by place.
 
-This is how ``sections.divisor`` and ``funcfield.divisor_of_differential``
-worked before they read their orders off ``divisor_of_function``: list the
-candidate places (the curve places and the support of the value), then find
-each order again by trial division with ``ord_section`` or
-``ord_differential``.  The tests compare the kernel's divisors against it.
+This is how ``sections.divisor`` worked before it read its orders off
+``divisor_of_function``: list the candidate places (the curve places and
+the support of the value), then find each order again by trial division
+with ``ord_section``.  A differential f d(var) is the section of weight 0
+and differential degree 1, so the oracle covers differentials too.  The
+tests compare the kernel's divisors against it.
 """
 
 from maninmaps.elliptic import _fibers
-from maninmaps.funcfield import _local_orders, ord_differential
+from maninmaps.funcfield import _local_orders
 from maninmaps.sections import ord_section
-
-
-def _sorted(pairs):
-    return sorted(((v, o) for v, o in pairs if o), key=lambda vo: vo[0].sort_key())
 
 
 def section_divisor(S) -> list:
     """[(Place, ord)] of a nonzero graded section, sorted, zeros left out."""
     places = {v for v, *_ in _fibers(S.model)} | set(_local_orders(S.value))
-    return _sorted((v, ord_section(S, v)) for v in places)
-
-
-def differential_divisor(omega) -> list:
-    """[(Place, ord)] of a nonzero differential, sorted, zeros left out."""
-    return _sorted((v, ord_differential(omega, v)) for v in _local_orders(omega.coefficient))
+    pairs = ((v, ord_section(S, v)) for v in places)
+    return sorted(((v, o) for v, o in pairs if o), key=lambda vo: vo[0].sort_key())

@@ -6,7 +6,8 @@ short model, reduces into the residue field k[t]/(pi) (or k at infinity),
 and reads the Kodaira type and the identity-component test off them; the
 component order is the search over scalar multiples the library used before
 it read the order off the node contact.  The tests compare the closed forms
-against it.
+against it.  ``intersection_with_zero``, the contact of a section with the
+zero section at one place, is the group-law oracle of the tangency scan.
 """
 
 from maninmaps import KodairaType, Poly, WeierstrassModel, scalar_mul
@@ -146,3 +147,27 @@ def component_order(E: WeierstrassModel, P, v) -> int:
         if in_identity_component(E, scalar_mul(n, P), v):
             return n
     raise ConsistencyError("component order at %s does not divide m = %d" % (v, m))
+
+
+def intersection_with_zero(E: WeierstrassModel, P, v) -> int:
+    """Local intersection number of the section P with the zero section at v,
+    the group-law oracle for ``pdescent.tangency_scan``.
+
+    Only defined here at places of good or multiplicative reduction; additive
+    places are refused rather than guessed at.  On the v-minimal model a pole
+    of x makes x^3 dominate the cubic, so a point on the curve has 2 oy = 3 ox.
+    """
+    if P.is_zero:
+        raise InputError("the zero section meets itself everywhere")
+    if kodaira_type(E, v).is_additive:
+        raise HypothesisError(
+            "intersection with the zero section needs semistable reduction at %s" % v
+        )
+    k = twist_exponent(E, v)
+    ox = ord_at(P.x + E.depress()[1], v) + 2 * k
+    if ox >= 0:
+        return 0
+    oy = ord_at(P.y, v) + 3 * k
+    if 3 * ox != 2 * oy:
+        raise ConsistencyError("pole orders %s, %s of x, y are inconsistent" % (ox, oy))
+    return -ox // 2

@@ -295,16 +295,7 @@ def test_exit_two_on_non_ascii_option_integers(capsys):
             assert "invalid integer" in capsys.readouterr().err
 
 
-@pytest.fixture
-def default_digit_limit():
-    """The interpreter's default limit of 4,300 digits, whatever PYTHONINTMAXSTRDIGITS says."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
-def test_exit_two_on_manifest_integer_past_the_digit_limit(capsys, tmp_path, default_digit_limit):
+def test_exit_two_on_manifest_integer_past_the_digit_limit(capsys, tmp_path):
     # a 5,000-digit n_max is an integer, refused for its length, which the
     # message gives instead of echoing the digits
     digits = "9" * 5000
@@ -312,17 +303,35 @@ def test_exit_two_on_manifest_integer_past_the_digit_limit(capsys, tmp_path, def
     man.write_text(_LEGENDRE + "[params]\nn_max = %s\n" % digits)
     code, doc = run_json(capsys, "invariants", str(man))
     assert code == 2
-    assert doc["error"] == "n_max has 5000 digits, past the interpreter's limit of 4300 digits for an integer"
+    assert doc["error"] == "n_max has 5000 digits, past the limit of 640 digits for an integer"
 
 
-def test_exit_two_on_option_integer_past_the_digit_limit(capsys, default_digit_limit):
+def test_exit_two_on_option_integer_past_the_digit_limit(capsys):
     digits = "9" * 5000
     with pytest.raises(SystemExit) as exc:
         main(["descent-bound", str(MANIFESTS / "legendre-f5.cfg"), "--n-max", digits])
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert "argument --n-max: the value has 5000 digits, past the interpreter's limit of 4300" in err
+    assert "argument --n-max: the value has 5000 digits, past the limit of 640" in err
     assert digits not in err
+
+
+def test_integer_settings_do_not_depend_on_the_digit_limit(tmp_path):
+    # the 640-digit bound is CPython's least nonzero limit: a longer setting
+    # is refused and a shorter one read, whatever PYTHONINTMAXSTRDIGITS says
+    env = dict(os.environ, PYTHONPATH=str(MANIFESTS.parent / "src"))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    for length, want in ((5000, 2), (700, 2), (600, 0)):
+        man = tmp_path / ("nmax-%d.cfg" % length)
+        man.write_text(_LEGENDRE + "[params]\nn_max = %s\n" % ("9" * length))
+        outs = set()
+        for limit in ("640", None, "0"):
+            proc = subprocess.run([sys.executable, "-m", "maninmaps.cli", "invariants", str(man)],
+                                  capture_output=True, timeout=120,
+                                  env=env if limit is None else dict(env, PYTHONINTMAXSTRDIGITS=limit))
+            assert proc.returncode == want, (length, limit, proc.stderr.decode("utf-8", "replace"))
+            outs.add(proc.stdout)
+        assert len(outs) == 1, length
 
 
 def test_descent_bound_names_the_iv_star_fiber_at_infinity(capsys, tmp_path):

@@ -2,12 +2,13 @@
 
 - On drawn sections over Q(t) and F_7(t) (a drawn value on a drawn short
   model, weight in {-2, -1, 0, 1, 4, p - 1}, differential degree in
-  {0, 1, 2}), ``sections.divisor`` and ``divisor_of_differential`` equal
-  the place-by-place divisors of ``divisor_oracle``.
-- ``sections.divisor``, ``divisor_of_differential`` and ``exceptional_set``
-  take no single-place valuation, and ``exceptional_set`` classifies no
-  fiber: spies on ``ord_at``, ``Poly.multiplicity_of`` and ``kodaira_type``
-  stay silent while they run.
+  {0, 1, 2}; a differential f d(var) is weight 0, differential degree 1),
+  ``sections.divisor`` equals the place-by-place divisor of
+  ``divisor_oracle``.
+- ``sections.divisor`` and ``exceptional_set`` take no single-place
+  valuation, and ``exceptional_set`` classifies no fiber: spies on
+  ``ord_at``, ``Poly.multiplicity_of`` and ``kodaira_type`` stay silent
+  while they run.
 - The fiber pass ``elliptic._fibers`` agrees with trial division: on drawn
   short models over Q(t) and F_7(t), ``bad_places`` equals ``kodaira_type``
   at each curve place, and 12 deg omega is the sum of minimal discriminant
@@ -30,7 +31,6 @@ from hypothesis import strategies as st
 import divisor_oracle
 from conftest import count_calls, legendre, legendre_cover_2, place
 from maninmaps import (
-    Differential,
     FunctionField,
     GradedSection,
     PrimeField,
@@ -39,7 +39,6 @@ from maninmaps import (
     descent_bound_report,
     descent_divisor,
     divisor,
-    divisor_of_differential,
     exceptional_set,
     kodaira_spencer_section,
     reduction_table_report,
@@ -82,8 +81,8 @@ def sections_over(draw, name):
 @given(st.sampled_from(sorted(FIELDS)).flatmap(sections_over))
 def test_section_and_differential_divisors_match_the_place_by_place_oracle(S):
     assert divisor(S).entries == divisor_oracle.section_divisor(S)
-    omega = Differential(S.value)
-    assert divisor_of_differential(omega) == divisor_oracle.differential_divisor(omega)
+    dt = GradedSection(S.value, 0, 1, S.model)
+    assert divisor(dt).entries == divisor_oracle.section_divisor(dt)
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,9 +109,9 @@ def test_divisor_readers_take_no_single_place_valuation(monkeypatch):
     t = K.gen
     E = WeierstrassModel.short(K, (t + 1) * (t - 2) ** 3, t ** 5 / (t - 3) ** 2)
     S = GradedSection((t ** 2 + 1) / (t * (t - 2)), -1, 2, E)
-    omega = Differential(S.value)
+    dt = GradedSection(S.value, 0, 1, E)
     expected_divisor = divisor_oracle.section_divisor(S)
-    expected_differential = divisor_oracle.differential_divisor(omega)
+    expected_differential = divisor_oracle.section_divisor(dt)
     expected_set = exceptional_set(legendre(K)).entries
     # the degree check stays an independent computation by trial division
     d = elliptic.deg_omega(E)
@@ -123,7 +122,7 @@ def test_divisor_readers_take_no_single_place_valuation(monkeypatch):
     _forbid(monkeypatch, elliptic, "kodaira_type")
     assert not hasattr(maninmap, "ord_at") and not hasattr(maninmap, "kodaira_type")
     assert divisor(S).entries == expected_divisor
-    assert divisor_of_differential(omega) == expected_differential
+    assert divisor(dt).entries == expected_differential
     assert exceptional_set(legendre(K)).entries == expected_set
 
 

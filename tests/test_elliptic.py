@@ -3,6 +3,7 @@ import random
 import pytest
 
 from maninmaps import (
+    ConsistencyError,
     CurvePoint,
     FunctionField,
     HypothesisError,
@@ -13,9 +14,7 @@ from maninmaps import (
     add,
     bad_places,
     deg_omega,
-    intersection_with_zero,
     kodaira_type,
-    negate,
     ord_at,
     parse_curve_function,
     parse_element,
@@ -23,7 +22,7 @@ from maninmaps import (
     value_at_O,
 )
 
-from local_oracle import minimal_model_at
+from local_oracle import intersection_with_zero, minimal_model_at
 from conftest import (
     legendre,
     legendre_biquadratic,
@@ -124,14 +123,14 @@ def test_group_laws_on_sampled_triples():
             tK = pullback_t(E)
             T0 = CurvePoint(E, K.zero, K.zero)
             Tt = CurvePoint(E, tK, K.zero)
-            pts = [P, negate(P), scalar_mul(2, P), add(P, T0), T0, Tt,
+            pts = [P, -P, scalar_mul(2, P), add(P, T0), T0, Tt,
                    CurvePoint.zero(E)]
             zero = CurvePoint.zero(E)
             for _ in range(9):
                 A, B, C = (rng.choice(pts) for _ in range(3))
                 assert add(A, B) == add(B, A)
                 assert add(add(A, B), C) == add(A, add(B, C))
-                assert add(A, negate(A)).is_zero
+                assert add(A, -A).is_zero
                 assert add(A, zero) == A
                 triples += 1
     assert triples >= 50
@@ -143,7 +142,7 @@ def test_scalar_mul_matches_repeated_addition():
     for n in range(1, 5):
         acc = add(acc, P3)
         assert scalar_mul(n, P3) == acc
-    assert scalar_mul(-2, P3) == negate(scalar_mul(2, P3))
+    assert scalar_mul(-2, P3) == -scalar_mul(2, P3)
 
 
 # -- minimal models
@@ -233,7 +232,8 @@ def test_kodaira_invariant_under_rescaling(Kt):
             assert kodaira_type(Ec, v) == kodaira_type(E, v)
 
 
-# -- intersections with the zero section
+# -- intersections with the zero section, by the group-law oracle of the
+# tangency scan (tests/local_oracle.py)
 
 
 def test_intersection_zero_when_regular(Kt):
@@ -264,6 +264,16 @@ def test_intersection_refuses_additive_f5():
         intersection_with_zero(E, P, place(K, [0, 1]))
     # multiplicative place is fine: 4t + 27 = 4t + 2 vanishes at t = 2
     assert intersection_with_zero(E, P, place(K, [-2, 1])) == 0
+
+
+def test_intersection_refuses_the_zero_section_and_points_off_the_curve(Kt):
+    E = legendre(Kt)
+    with pytest.raises(InputError, match="the zero section meets itself everywhere"):
+        intersection_with_zero(E, CurvePoint.zero(E), Kt.infinity())
+    # 1/t has a simple pole at t = 0, but on the curve 2 ord y = 3 ord x
+    P = CurvePoint(E, 1 / Kt.gen, 1 / Kt.gen, check=False)
+    with pytest.raises(ConsistencyError, match="pole orders -1, -1 of x, y are inconsistent"):
+        intersection_with_zero(E, P, place(Kt, [0, 1]))
 
 
 def test_intersection_simple_contact_at_finite_place():
@@ -425,7 +435,7 @@ def test_scalar_mul_doubles_no_further_than_the_top_bit(monkeypatch, n, adds):
     E, P, _ = legendre_cover_2(PrimeField(5))
     expected = CurvePoint.zero(E)
     for _ in range(abs(n)):
-        expected = add(expected, P if n > 0 else negate(P))
+        expected = add(expected, P if n > 0 else -P)
     calls = []
 
     def counting(a, b):

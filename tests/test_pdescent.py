@@ -19,8 +19,6 @@ from maninmaps import (
     descent_divisor,
     divisor,
     hasse_data,
-    hasse_invariant_section,
-    in_identity_component,
     kodaira_spencer_section,
     kodaira_type,
     ord_section,
@@ -32,8 +30,8 @@ from maninmaps import (
     tangency_scan,
 )
 from maninmaps.cli import Manifest
-from maninmaps.elliptic import _fibers, twist_exponent
-from maninmaps.pdescent import _short_with_point, _table_expectation
+from maninmaps.elliptic import _fiber_at, _fibers, twist_exponent
+from maninmaps.pdescent import _node_contact, _short_with_point, _table_expectation
 from maninmaps.polynomials import _DensePoly
 
 import local_oracle
@@ -279,6 +277,12 @@ def test_nu_bounded_by_descent_divisor():
 # -- component groups and the divisor D
 
 
+def on_identity_component(E, P, v):
+    """Whether P reduces to a smooth point of the v-minimal fiber at a
+    semistable place v: no contact with the node."""
+    return _node_contact(E, P, v, *_fiber_at(E, v)) == 0
+
+
 def test_component_order_divides_two_at_i2():
     E, P, _ = legendre_cover_2(PrimeField(5))
     K = P.x.field
@@ -286,15 +290,15 @@ def test_component_order_divides_two_at_i2():
     assert kodaira_type(E, v).symbol() == "I2"
     order = component_order(E, P, v)
     assert order in (1, 2)
-    assert in_identity_component(E, scalar_mul(order, P), v)
+    assert on_identity_component(E, scalar_mul(order, P), v)
 
 
 def test_component_test_refuses_additive(K5):
     t = K5.gen
     E = WeierstrassModel.short(K5, t, t)
     P = CurvePoint(E, K5.from_int(-1), K5.from_int(2))
-    with pytest.raises(HypothesisError):
-        in_identity_component(E, P, place(K5, [0, 1]))
+    with pytest.raises(HypothesisError, match="component order computed only at semistable places"):
+        component_order(E, P, place(K5, [0, 1]))
 
 
 @pytest.mark.parametrize(
@@ -314,7 +318,7 @@ def test_component_test_at_good_places(K5, a4, a6, x, y):
     P = CurvePoint(E, parse_element(x, K5), parse_element(y, K5))
     v = place(K5, [0, 1])
     assert kodaira_type(E, v).symbol() == "I0"
-    assert in_identity_component(E, P, v) is True
+    assert on_identity_component(E, P, v) is True
     assert local_oracle.in_identity_component(E, P, v) is True
     assert component_order(E, P, v) == 1
 
@@ -338,9 +342,9 @@ def test_descent_divisor_needs_semistable(K5):
 
 
 def test_scan_agrees_with_group_law_oracle():
-    from maninmaps import intersection_with_zero
     from maninmaps.funcfield import _local_orders
-    from maninmaps.pdescent import _short_with_point
+
+    from local_oracle import intersection_with_zero
 
     E, P, _ = legendre_cover_2(PrimeField(5))
     Es, Ps = _short_with_point(E, P)
@@ -412,7 +416,7 @@ def _check_known_tangency(p, k):
     assert u in rep.t_ordinary
     assert not rep.mu_zero
     # equality, attained by iota - 1 + ord_u A with A a unit at u
-    assert ord_section(hasse_invariant_section(E), u) == 0
+    assert ord_section(hasse_data(E).section(), u) == 0
     (check,) = [c for c in rep.checks if c.name == "refined local bound at u"]
     assert check.ok
     assert check.detail == (
@@ -440,7 +444,7 @@ def test_bound_report_refuses_the_contact_five_cover_over_f5():
 
 def test_hasse_section_degree():
     E, _, _ = legendre_cover_2(PrimeField(5))
-    sec = hasse_invariant_section(E)
+    sec = hasse_data(E).section()
     assert divisor(sec).degree == 4 * deg_omega(E)
 
 
@@ -457,8 +461,9 @@ def _outcome(fn, *args):
 
 
 def _local_mismatches(E, P, seen):
-    """Compare kodaira_type, in_identity_component(nP) and component_order(nP),
-    n <= 6 or until nP = O, with the minimal-model oracle at every curve place.
+    """Compare kodaira_type and component_order(nP) at every curve place, and
+    the identity-component test of nP at the semistable ones, n <= 6 or until
+    nP = O, with the minimal-model oracle.
 
     Returns the mismatches; adds to ``seen`` the cases the comparison met.
     """
@@ -478,16 +483,18 @@ def _local_mismatches(E, P, seen):
         if kt != local_oracle.kodaira_type(E, v):
             mismatches.append(("kodaira_type", E, v))
         for n, Q in enumerate(multiples, 1):
-            got = _outcome(in_identity_component, E, Q, v)
-            if got != _outcome(local_oracle.in_identity_component, E, Q, v):
-                mismatches.append(("in_identity_component", E, n, P, v))
+            if kt.is_semistable:
+                got = on_identity_component(E, Q, v)
+                if got != local_oracle.in_identity_component(E, Q, v):
+                    mismatches.append(("identity component", E, n, P, v))
+                if not got:
+                    seen.add("on node")
+            order = _outcome(component_order, E, Q, v)
+            if order != _outcome(local_oracle.component_order, E, Q, v):
+                mismatches.append(("component_order", E, n, P, v))
             if kt.is_semistable and kt.m >= 2:
                 seen.add("component order")
-                if component_order(E, Q, v) != local_oracle.component_order(E, Q, v):
-                    mismatches.append(("component_order", E, n, P, v))
-            if got is False:
-                seen.add("on node")
-            elif got == "refused" and kt.is_additive:
+            elif order == "refused" and kt.is_additive:
                 seen.add("additive refusal")
     return mismatches
 

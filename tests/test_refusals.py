@@ -1,12 +1,22 @@
-"""Every refusal and internal check of ``elliptic``, ``maninmap``, ``pdescent`` and ``sections``.
+"""Every refusal and internal check of ``elliptic``, ``funcfield``, ``maninmap``,
+``pdescent`` and ``sections``.
 
 - Each ``InputError`` and ``HypothesisError`` is reached through the public
   API, with its exact type, its message and the module that raises it
-  asserted; the table is parametrized by module.
+  asserted; the table is parametrized by module.  For ``funcfield`` the
+  table holds the refusals no other test reaches, ``TypeError`` and
+  ``ZeroDivisionError`` among them: a zero denominator, operands of another
+  type or field, a constant place, the divisor of zero, the five cover
+  refusals, division by the zero x-polynomial, evaluation at a pole in x
+  and a repeated exponent.  Refusals that only drawn property tests
+  reached (three parse errors, a scan of the zero section, division by
+  zero in K(E)) get a row too, so a run that draws nothing still reaches
+  them.  The constant cover is also followed through a manifest to the
+  CLI's exit code 2.
 - Each ``ConsistencyError`` is fired by fault injection: a kernel patched to
   return a wrong value, or an input no valid model produces.  Each guards a
   fact proved in the docstring of the function that checks it, so on valid
-  input none of them fires.  Two of them are also followed to the CLI's
+  input none of them fires.  Three of them are also followed to the CLI's
   exit code 3.
 """
 
@@ -22,30 +32,35 @@ from maninmaps import (
     CurveFunction,
     CurvePoint,
     DivisorReport,
+    FieldElement,
     FunctionField,
     GradedSection,
     HypothesisError,
     InputError,
     KodairaType,
     PFOperator,
+    ParseError,
+    Place,
     PrimeField,
     QQ,
+    RatX,
     WeierstrassModel,
     XPoly,
     add,
     bad_places,
     component_order,
     divisor,
+    divisor_of_function,
     exceptional_set,
     find_pf,
-    intersection_with_zero,
+    parse,
     parse_curve_function,
     pullback_pf,
     tangency_report,
     tangency_scan,
     verify_pf,
 )
-from maninmaps import elliptic, maninmap, pdescent, sections
+from maninmaps import elliptic, funcfield, maninmap, pdescent, sections
 from maninmaps.cli import Manifest, main
 
 from conftest import legendre, legendre_cover_2, legendre_operator, place
@@ -81,6 +96,15 @@ def iv_star_f7(scale=0):
     return E, CurvePoint(E, -c ** 2, -2 * t * c ** 3)
 
 
+def qs():
+    return FunctionField(QQ, "s")
+
+
+def one_over_x():
+    K = qt()
+    return RatX.const(K.one) / RatX.from_xpoly(XPoly.x(K))
+
+
 def frobenius_cover():
     """s -> s^5 over F_5: non-constant, with identically vanishing derivative."""
     Ks, Kt = FunctionField(PrimeField(5), "s"), f5()
@@ -103,13 +127,49 @@ REFUSALS = [
     ("elliptic", "add-across-models",
      lambda: add(CurvePoint.zero(legendre(qt())), CurvePoint.zero(legendre(qt()).depress()[0])),
      InputError, "points on different models"),
+    ("elliptic", "curve-function-over-zero",
+     lambda: CurveFunction.const(legendre(qt()), qt().one) / CurveFunction.const(legendre(qt()), qt().zero),
+     ZeroDivisionError, r"division by zero in K\(E\)"),
     ("elliptic", "unknown-fiber-type", lambda: KodairaType("V"),
      InputError, "unknown fiber type 'V'"),
     ("elliptic", "index-on-additive-type", lambda: KodairaType("II", 3),
      InputError, "only I and I\\* carry an index"),
-    ("elliptic", "zero-section-with-itself",
-     lambda: intersection_with_zero(legendre(qt()), CurvePoint.zero(legendre(qt())), qt().infinity()),
-     InputError, "the zero section meets itself everywhere"),
+    ("funcfield", "zero-denominator",
+     lambda: FieldElement(qt(), qt().poly([1]), qt().poly([0])),
+     ZeroDivisionError, "zero denominator"),
+    ("funcfield", "add-a-string", lambda: qt().gen + "t",
+     TypeError, "cannot combine FieldElement with 't'"),
+    ("funcfield", "add-across-fields", lambda: qt().gen + f5().gen,
+     InputError, "mixed function fields"),
+    ("funcfield", "place-of-a-constant", lambda: Place(qt(), qt().poly([3])),
+     InputError, "a finite place needs a non-constant polynomial"),
+    ("funcfield", "divisor-of-zero", lambda: divisor_of_function(qt().zero),
+     InputError, "the zero function has no divisor"),
+    ("funcfield", "cover-image-in-the-target", lambda: CoverMap(qs(), qt(), qt().gen),
+     InputError, "cover image must live in the source field"),
+    ("funcfield", "cover-across-constant-fields",
+     lambda: CoverMap(FunctionField(PrimeField(5), "s"), qt(), FunctionField(PrimeField(5), "s").gen),
+     InputError, "cover must preserve the constant field"),
+    ("funcfield", "constant-cover", lambda: CoverMap(qs(), qt(), qs().from_int(2)),
+     InputError, "cover image must be non-constant"),
+    ("funcfield", "pullback-from-the-source",
+     lambda: CoverMap(qs(), qt(), qs().gen ** 2).pullback(qs().gen),
+     InputError, "pullback input must live in the target field"),
+    ("funcfield", "covers-that-do-not-chain",
+     lambda: CoverMap(qs(), qt(), qs().gen ** 2).then(CoverMap(qs(), qt(), qs().gen + 1)),
+     InputError, "covers do not chain"),
+    ("funcfield", "xpoly-divmod-by-zero", lambda: divmod(XPoly.x(qt()), XPoly.zero(qt())),
+     ZeroDivisionError, "XPoly division by zero"),
+    ("funcfield", "ratx-at-a-pole", lambda: one_over_x().evaluate(qt().zero),
+     ZeroDivisionError, "evaluation at a pole in x"),
+    ("funcfield", "repeated-exponent", lambda: parse("t^2^3", qt()),
+     ParseError, r"repeated exponent \(at position 3\)$"),
+    ("funcfield", "trailing-input", lambda: parse("t)", qt()),
+     ParseError, r"trailing input '\)' \(at position 1\)$"),
+    ("funcfield", "unclosed-parenthesis", lambda: parse("(t", qt()),
+     ParseError, r"expected '\)', found None \(at position 2\)$"),
+    ("funcfield", "unexpected-token", lambda: parse("t+*2", qt()),
+     ParseError, r"unexpected token '\*' \(at position 2\)$"),
     ("maninmap", "operator-with-zero-A",
      lambda: PFOperator(qt().zero, qt().one, qt().one, legendre_operator(qt())[1].F),
      InputError, "a second-order operator needs A != 0"),
@@ -128,6 +188,9 @@ REFUSALS = [
      lambda: GradedSection(qt().one, 1, 0, legendre(qt()))
      * GradedSection(qt().one, 1, 0, legendre(qt()).rescale(qt().from_int(2))),
      InputError, "sections on different models"),
+    ("pdescent", "scan-of-the-zero-section",
+     lambda: tangency_scan(legendre(f5()), CurvePoint.zero(legendre(f5())), 4),
+     InputError, "the zero section cannot be scanned"),
     ("pdescent", "component-order-at-an-additive-place",
      lambda: component_order(*iv_star_f7(), f7().infinity()),
      HypothesisError, "component order computed only at semistable places"),
@@ -174,19 +237,19 @@ def fault_fiber_without_type(monkeypatch):
     bad_places(E)
 
 
-def fault_point_off_the_curve(monkeypatch):
-    K = qt()
-    E = legendre(K)
-    P = CurvePoint(E, 1 / K.gen, 1 / K.gen, check=False)
-    intersection_with_zero(E, P, place(K, [0, 1]))
-
-
 def fault_square_cubic(monkeypatch):
     K = qt()
     E = legendre(K)
     g = CurveFunction.x_coord(E) + CurveFunction.y_coord(E)
     monkeypatch.setattr(WeierstrassModel, "cubic", lambda self: XPoly.x(K) * XPoly.x(K))
     CurveFunction.const(E, K.one) / g
+
+
+def fault_factor_drops_a_factor(monkeypatch):
+    # a correct factor() makes the degree 0: every place is counted once
+    real = funcfield.factor
+    monkeypatch.setattr(funcfield, "factor", lambda q: real(q)[1:])
+    divisor_of_function(qt().gen - 1)
 
 
 def fault_witness_residual(monkeypatch):
@@ -235,10 +298,10 @@ FAULTS = [
      r"impossible valuations \(1, 5\) at t$"),
     ("elliptic", "fiber-without-type", fault_fiber_without_type,
      r"no fiber type for ord\(disc\) = 5 at t$"),
-    ("elliptic", "point-off-the-curve", fault_point_off_the_curve,
-     r"pole orders -1, -1 of x, y are inconsistent"),
     ("elliptic", "square-cubic", fault_square_cubic,
      r"zero norm for the nonzero curve function \(x\) \+ y\*\(\(1\)\)"),
+    ("funcfield", "factor-drops-a-factor", fault_factor_drops_a_factor,
+     r"divisor of a function has degree -1$"),
     ("maninmap", "witness-residual", fault_witness_residual,
      r"solved operator failed verification on y\^2 = "),
     ("maninmap", "pole-off-the-exceptional-set", fault_pole_off_the_exceptional_set,
@@ -267,17 +330,30 @@ def test_internal_check(module, inject, message, monkeypatch):
 @pytest.mark.parametrize("command, manifest, patch, message", [
     ("tangency", "legendre-biquadratic.cfg", "deg_omega", "divisor degree -6 does not match"),
     ("find-pf", "legendre.cfg", "_witness", "solved operator failed verification"),
+    ("invariants", "legendre.cfg", "factor", "divisor of a function has degree"),
 ])
 def test_internal_check_exits_three(capsys, monkeypatch, command, manifest, patch, message):
-    # patch names the fault: deg omega off by one at its seam, or a failed residual
+    # patch names the fault: deg omega off by one at its seam, a failed
+    # residual, or a factorization that drops a factor
     name = {"deg_omega": "_deg_omega"}.get(patch, patch)
-    real = getattr(maninmap, name)
+    owner = funcfield if patch == "factor" else maninmap
+    real = getattr(owner, name)
     fault = {
         "deg_omega": lambda E, rows: real(E, rows) + 1,
         "_witness": lambda *a: (real(*a)[0], False),
+        "factor": lambda q: real(q)[1:],
     }[patch]
-    monkeypatch.setattr(maninmap, name, fault)
+    monkeypatch.setattr(owner, name, fault)
     code = main([command, str(MANIFESTS / manifest)])
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert doc["error"].startswith(message)
+
+
+def test_constant_cover_in_a_manifest_exits_two(capsys, tmp_path):
+    man = tmp_path / "constant-cover.cfg"
+    man.write_text("[curve]\ncubic = x^3 - (1+t)*x^2 + t*x\n[cover]\nt = s - s\n")
+    code = main(["invariants", str(man)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["error"] == "cover image must be non-constant"

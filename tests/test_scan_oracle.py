@@ -25,7 +25,7 @@ from maninmaps import (
     WeierstrassModel,
     add,
     divisor,
-    hasse_invariant_section,
+    hasse_data,
     kodaira_spencer_section,
     tangency_scan,
 )
@@ -133,7 +133,7 @@ def reference_tangency_scan(E, P, n_max, watch_places=()):
 def _watch(E):
     # the places descent_bound_report watches
     lam = kodaira_spencer_section(E)
-    return set(divisor(lam).support()) | set(divisor(hasse_invariant_section(E)).support())
+    return set(divisor(lam).support()) | set(divisor(hasse_data(E).section()).support())
 
 
 def _criterion_7_cases():
