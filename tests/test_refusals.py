@@ -3,7 +3,9 @@
 
 - Each ``InputError`` and ``HypothesisError`` is reached through the public
   API, with its exact type, its message and the module that raises it
-  asserted; the table is parametrized by module.  For ``funcfield`` the
+  asserted; the table is parametrized by module.  The ``elliptic`` rows
+  include the refusal and the pole-order check of ``intersection_with_zero``,
+  the group-law oracle in ``tests/local_oracle.py``.  For ``funcfield`` the
   table holds the refusals no other test reaches, ``TypeError`` and
   ``ZeroDivisionError`` among them: a zero denominator, operands of another
   type or field, a constant place, the divisor of zero, the five cover
@@ -64,6 +66,7 @@ from maninmaps import elliptic, funcfield, maninmap, pdescent, sections
 from maninmaps.cli import Manifest, main
 
 from conftest import legendre, legendre_cover_2, legendre_operator, place
+from local_oracle import intersection_with_zero
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -134,6 +137,9 @@ REFUSALS = [
      InputError, "unknown fiber type 'V'"),
     ("elliptic", "index-on-additive-type", lambda: KodairaType("II", 3),
      InputError, "only I and I\\* carry an index"),
+    ("elliptic", "zero-section-with-itself",
+     lambda: intersection_with_zero(legendre(qt()), CurvePoint.zero(legendre(qt())), qt().infinity()),
+     InputError, "the zero section meets itself everywhere"),
     ("funcfield", "zero-denominator",
      lambda: FieldElement(qt(), qt().poly([1]), qt().poly([0])),
      ZeroDivisionError, "zero denominator"),
@@ -197,15 +203,26 @@ REFUSALS = [
 ]
 
 
+# intersection_with_zero, the group-law oracle of the tangency scan, lives in
+# tests/local_oracle.py; its refusal and its check stay in the elliptic rows
+IN_THE_ORACLE = {"zero-section-with-itself", "point-off-the-curve"}
+
+
+def raised_in(module, name):
+    """The file whose raise a row reaches."""
+    return "local_oracle.py" if name in IN_THE_ORACLE else module + ".py"
+
+
 @pytest.mark.parametrize(
-    "module, call, exc, message",
-    [pytest.param(m, c, e, msg, id="%s-%s" % (m, name)) for m, name, c, e, msg in REFUSALS],
+    "source, call, exc, message",
+    [pytest.param(raised_in(m, name), c, e, msg, id="%s-%s" % (m, name))
+     for m, name, c, e, msg in REFUSALS],
 )
-def test_refusal(module, call, exc, message):
+def test_refusal(source, call, exc, message):
     with pytest.raises(exc, match=message) as info:
         call()
     assert info.type is exc
-    assert info.traceback[-1].path.name == module + ".py"
+    assert info.traceback[-1].path.name == source
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +252,14 @@ def fault_fiber_without_type(monkeypatch):
     E = legendre(qt())
     impossible_orders(E, monkeypatch, [2, 2, 5])
     bad_places(E)
+
+
+def fault_point_off_the_curve(monkeypatch):
+    # 1/t has a simple pole at t = 0, but on the curve 2 ord y = 3 ord x
+    K = qt()
+    E = legendre(K)
+    P = CurvePoint(E, 1 / K.gen, 1 / K.gen, check=False)
+    intersection_with_zero(E, P, place(K, [0, 1]))
 
 
 def fault_square_cubic(monkeypatch):
@@ -298,6 +323,8 @@ FAULTS = [
      r"impossible valuations \(1, 5\) at t$"),
     ("elliptic", "fiber-without-type", fault_fiber_without_type,
      r"no fiber type for ord\(disc\) = 5 at t$"),
+    ("elliptic", "point-off-the-curve", fault_point_off_the_curve,
+     r"pole orders -1, -1 of x, y are inconsistent"),
     ("elliptic", "square-cubic", fault_square_cubic,
      r"zero norm for the nonzero curve function \(x\) \+ y\*\(\(1\)\)"),
     ("funcfield", "factor-drops-a-factor", fault_factor_drops_a_factor,
@@ -318,13 +345,14 @@ FAULTS = [
 
 
 @pytest.mark.parametrize(
-    "module, inject, message",
-    [pytest.param(m, f, msg, id="%s-%s" % (m, name)) for m, name, f, msg in FAULTS],
+    "source, inject, message",
+    [pytest.param(raised_in(m, name), f, msg, id="%s-%s" % (m, name))
+     for m, name, f, msg in FAULTS],
 )
-def test_internal_check(module, inject, message, monkeypatch):
+def test_internal_check(source, inject, message, monkeypatch):
     with pytest.raises(ConsistencyError, match=message) as info:
         inject(monkeypatch)
-    assert info.traceback[-1].path.name == module + ".py"
+    assert info.traceback[-1].path.name == source
 
 
 @pytest.mark.parametrize("command, manifest, patch, message", [
