@@ -16,12 +16,13 @@ also uses, all from one ``elliptic._fibers`` pass; off S the order of the
 section is the contact excess of the point with the leaves through it, and
 the degree of the bundle bounds the total, as the report's degree and floor
 checks imply.  The operator of dx/y itself is read off the Gauss-Manin
-connection in closed form (``find_pf``).  Exactness has one test, shared by
-``find_pf`` and ``verify_pf``: the witness equation has at most one
+connection in closed form (``find_pf``).  Exactness has one test, run by
+``find_pf`` and by ``verify_pf`` on operators not from ``pullback_pf``
+(which inherit their source's answer): the witness equation has at most one
 solution, of the form y N(x)/f(x)^2 with deg N <= 4, which
-back-substitution finds or rules out (``_witness``).  The linear solve and
-the fraction-free exactness identity it replaced are kept only as test
-oracles.
+back-substitution finds or rules out (``_witness``).  The linear solve, the
+fraction-free exactness identity and the witness test of a pulled-back
+operator are kept only as test oracles.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .sections import GradedSection, _divisor
 class PFOperator:
     """L = A d^2 + B d + C with exactness witness F, for d = d/d(base var)."""
 
-    __slots__ = ("A", "B", "C", "F", "_verified")
+    __slots__ = ("A", "B", "C", "F", "_verified", "_source")
 
     def __init__(self, A: FieldElement, B: FieldElement, C: FieldElement,
                  F: CurveFunction):
@@ -55,6 +56,7 @@ class PFOperator:
         self.C = C
         self.F = F
         self._verified = None
+        self._source = None
 
     def scale(self, c: FieldElement) -> "PFOperator":
         """The same operator rescaled: (cA, cB, cC, cF)."""
@@ -129,12 +131,20 @@ def verify_pf(E: WeierstrassModel, L: PFOperator) -> bool:
     witness equations are consistent, and the y-part of F is N/f^2; the
     last is tested by cross-multiplying the canonical fraction.  Only
     E == L.F.model gets past the first checks, so the answer is kept on L.
+
+    An operator from ``pullback_pf`` takes its source's answer instead: the
+    cover t = r(u) embeds K(E) in K~(E~) by a map i with d/du o i =
+    r' i o d/dt (both killing x), so L~(dx/y) - dF~ = i(L(dx/y) - dF), and
+    i is injective.  One side vanishes exactly when the other does, so the
+    transported answer is the computed one, False included.
     """
     if E.field.char != 0:
         raise InputError("operators with exactness witnesses live in characteristic 0")
     if L.F.model != E:
         return False
-    if L._verified is None:
+    if L._verified is None and L._source is not None:
+        L._verified = verify_pf(L._source.F.model, L._source)
+    elif L._verified is None:
         rx, ry = L.F.rx, L.F.ry
         if rx.den.degree or rx.num.degree > 0:
             L._verified = False
@@ -221,7 +231,8 @@ def pullback_pf(L: PFOperator, phi: CoverMap) -> PFOperator:
     """Transport an operator along a cover of the line.
 
     With t = r(u): A~ = (A o r)/r'^2, B~ = (B o r)/r' - (A o r) r''/r'^3,
-    C~ = C o r, F~ = F with coefficients pulled back.
+    C~ = C o r, F~ = F with coefficients pulled back: L in d/dt = d/du / r'.
+    The result is exact iff L is; ``verify_pf`` reads that off L when asked.
     """
     r = phi.image
     rp = r.derive()
@@ -234,7 +245,9 @@ def pullback_pf(L: PFOperator, phi: CoverMap) -> PFOperator:
     Ct = phi.pullback(L.C)
     model = L.F.model.pullback(phi)
     Ft = L.F.map_coeffs(phi.pullback, model=model)
-    return PFOperator(At, Bt, Ct, Ft)
+    Lt = PFOperator(At, Bt, Ct, Ft)
+    Lt._source = L
+    return Lt
 
 
 def manin_value(E: WeierstrassModel, L: PFOperator, P: CurvePoint) -> FieldElement:

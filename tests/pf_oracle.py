@@ -5,10 +5,30 @@ off the Gauss-Manin closed form.  It searches the witness in the form
 F = y N(x) / f(x)^2 with deg N <= 4, which turns exactness into a
 7-equation K-linear system in (A, B, C, N), and row-reduces it over K.  The
 tests compare the closed form against it, output and errors alike.
+
+``witness_exact`` is the body ``verify_pf`` runs on an operator that was not
+pulled back, applied to any operator: it solves the witness on the model it
+is given, so on a cover it checks what ``verify_pf`` transports from the base.
 """
 
 from maninmaps import CurveFunction, FieldElement, PFOperator, RatX, XPoly, verify_pf
+from maninmaps import maninmap
 from maninmaps.errors import ConsistencyError, InputError, NotFoundError
+
+
+def witness_exact(E, L):
+    """Whether L(dx/y) = dF on E, by ``_witness`` on E whatever L carries.
+
+    Ignores the answer stored on L and the operator it was pulled back from.
+    """
+    if L.F.model != E:
+        return False
+    rx, ry = L.F.rx, L.F.ry
+    if rx.den.degree or rx.num.degree > 0:
+        return False
+    N, ok = maninmap._witness(E, L.A, L.B, L.C)
+    f = E.cubic()
+    return ok and ry.num * (f * f) == ry.den * N
 
 
 def find_pf(E, pole_bound=4):

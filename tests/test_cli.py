@@ -106,6 +106,22 @@ def test_charp_commands(capsys):
     assert code == 0 and all(r["pass"] for r in doc["results"]["rows"])
 
 
+def test_charp_manifest_with_operator_and_cover(capsys, tmp_path):
+    # the operator is pulled back along the cover but never asked to be exact
+    text = (MANIFESTS / "legendre-f5.cfg").read_text() + (
+        "\n[operator]\nA = t*(1-t)\nB = 1 - 2*t\nC = -1/4\nF = y/(2*(x-t)^2)\n"
+    )
+    man = tmp_path / "f5-operator.cfg"
+    man.write_text(text)
+    code, doc = run_json(capsys, "mu", str(man))
+    assert code == 0
+    K = FunctionField(PrimeField(5), "s")
+    assert not parse_element(doc["results"]["value"], K).is_zero()
+    code, doc = run_json(capsys, "verify-pf", str(man))
+    assert code == 2
+    assert "operators with exactness witnesses live in characteristic 0" in doc["error"]
+
+
 def test_descent_bound_command(capsys):
     code, doc = run_json(capsys, "descent-bound", str(MANIFESTS / "legendre-f5.cfg"),
                          "--n-max", "12")

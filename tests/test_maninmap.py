@@ -29,6 +29,7 @@ from maninmaps import (
 )
 from maninmaps.maninmap import REASON_BAD, REASON_DJ, REASON_J1728
 
+import pf_oracle
 from conftest import (
     count_calls,
     fresh,
@@ -151,6 +152,7 @@ def test_pullback_identity_cover(base, Kt):
     Lid = pullback_pf(L, ident)
     assert Lid.A == L.A and Lid.B == L.B and Lid.C == L.C
     assert verify_pf(E, Lid)
+    assert pf_oracle.witness_exact(E, Lid)
 
 
 def test_pullback_quadratic_cover(base):
@@ -158,6 +160,7 @@ def test_pullback_quadratic_cover(base):
     Es, P, phi = legendre_cover_2(QQ)
     Ls = pullback_pf(L, phi)
     assert verify_pf(Es, Ls)
+    assert pf_oracle.witness_exact(Es, Ls)
 
 
 def test_pullback_biquadratic_cover(base):
@@ -165,6 +168,30 @@ def test_pullback_biquadratic_cover(base):
     Eu, P2, P3, phi = legendre_biquadratic(QQ)
     Lu = pullback_pf(L, phi)
     assert verify_pf(Eu, Lu)
+    assert pf_oracle.witness_exact(Eu, Lu)
+
+
+def test_tangency_report_on_a_cover_solves_the_witness_on_the_base_only(base, monkeypatch):
+    import maninmaps.maninmap as mm
+
+    E, L = base
+    Eu, P2, P3, phi = legendre_biquadratic(QQ)
+    models = []
+    inner = mm._witness
+
+    def recording(model, A, B, C):
+        models.append(model)
+        return inner(model, A, B, C)
+
+    monkeypatch.setattr(mm, "_witness", recording)
+    Lu = pullback_pf(fresh(L), phi)
+    assert models == []  # pulling back does no exactness work
+    report = tangency_report(Eu, Lu, add(scalar_mul(3, P3), -P2))
+    assert not report.zero_section
+    assert models == [E]
+    # the answer is now stored on both operators
+    assert verify_pf(Eu, Lu) and verify_pf(E, Lu._source)
+    assert models == [E]
 
 
 # -- the map in coordinates
