@@ -238,14 +238,14 @@ def _check_json(checks) -> list:
 
 def _cmd_invariants(man: Manifest, args):
     E = man.model
-    bad = elliptic.bad_places(E)
+    fibers = elliptic._fibers(E)  # one pass for the bad places and deg omega
     results = {
         "discriminant": str(E.discriminant()),
         "j_invariant": str(E.j_invariant()),
-        "deg_omega": elliptic.deg_omega(E),
+        "deg_omega": elliptic._deg_omega(E, fibers),
         "bad_places": [
             {"place": str(v), "degree": v.degree, "kodaira": kt.symbol()}
-            for v, kt in bad
+            for v, _, kt, _ in fibers if not kt.is_good
         ],
     }
     return results, []

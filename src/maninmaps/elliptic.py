@@ -280,10 +280,6 @@ class KodairaType:
     def is_semistable(self) -> bool:
         return self.kind == "I"
 
-    @property
-    def is_additive(self) -> bool:
-        return self.kind != "I"
-
     def symbol(self) -> str:
         if self.kind == "I":
             return "I%d" % self.m
@@ -457,7 +453,7 @@ class CurveFunction:
             raise ConsistencyError("zero norm for the nonzero curve function %s" % other)
         conj = CurveFunction(self.model, other.rx, -other.ry)
         prod = self * conj
-        inv_norm = RatX(self.model.field, norm.den, norm.num)
+        inv_norm = norm._reciprocal()
         return CurveFunction(self.model, prod.rx * inv_norm, prod.ry * inv_norm)
 
     def __pow__(self, n: int):
@@ -471,11 +467,21 @@ class CurveFunction:
             raise InputError("evaluation at the origin: use value_at_O")
         return self.rx.evaluate(P.x) + P.y * self.ry.evaluate(P.x)
 
-    def map_coeffs(self, fn, model=None):
-        m = model or self.model
-        rx = RatX(m.field, self.rx.num.map_coeffs(fn, m.field), self.rx.den.map_coeffs(fn, m.field))
-        ry = RatX(m.field, self.ry.num.map_coeffs(fn, m.field), self.ry.den.map_coeffs(fn, m.field))
-        return CurveFunction(m, rx, ry)
+    def map_coeffs(self, fn, model):
+        """rx and ry with fn applied to every coefficient, as a function on model.
+
+        fn must be an injective ring map K -> K~ that sends 1 to 1, as a
+        cover's pullback is.  Applied coefficientwise it maps a Bezout
+        identity s num + t den = 1 in K[x] to one in K~[x], and a monic den to
+        a monic one of the same degree, so the images are canonical as they
+        stand and take no gcd.
+        """
+        K = model.field
+
+        def image(r):
+            return RatX._trusted(K, r.num.map_coeffs(fn, K), r.den.map_coeffs(fn, K))
+
+        return CurveFunction(model, image(self.rx), image(self.ry))
 
     def __str__(self):
         if self.ry.is_zero():

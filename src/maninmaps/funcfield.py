@@ -14,9 +14,11 @@ Also here: polynomials in an auxiliary variable x over the function field
 (``XPoly``/``RatX``), covers of the line given by rational substitutions,
 and the expression parser used by the CLI, which writes an expression as a
 flat postfix program that ``eval_ast`` runs in one stack loop, the one
-place unknown names are refused.  ``XPoly.cleared`` writes an
-x-polynomial as numerators in k[t][x] over one denominator in k[t]; the gcd
-in x is a primitive remainder sequence there, with no field element built.
+place unknown names are refused.  ``XPoly`` has one coefficient ring, K,
+and its gcd is Euclid's algorithm there.  The witnesses the library builds
+are canonical by construction (``_Quotient._trusted``): a pulled-back
+fraction and ``find_pf``'s y N/f^2 take no gcd, so the gcd in x runs on
+fractions read from a manifest and in the arithmetic of ``RatX``.
 
 Each tower has one body.  ``XPoly`` takes its structure, its ring operations
 (+, -, negation, ``scale``, ``derivative`` in x, powers) and ``cofactors``
@@ -24,8 +26,8 @@ from ``polynomials._DensePoly``, as ``Poly`` does, and keeps only its
 product, division and gcd; the private base ``_Quotient`` holds the
 canonical-fraction arithmetic (coprime with a monic denominator, equality,
 + - * / ** by Henrici's gcd splitting) of both ``FieldElement`` over k[t] and
-``RatX`` over K[x].  The constant fields supply ``from_int``, ``inv`` and
-``div``; ``FieldElement`` reaches them only through ``Poly``.
+``RatX`` over K[x].  The constant fields supply ``from_int`` and ``inv``;
+``FieldElement`` reaches them only through ``Poly``.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ class _Quotient:
     quotients by it), ``one`` and their coefficient domain ``field``, whose
     ``one`` and ``inv`` make a denominator monic; canonical forms make
     structural equality mathematical equality.  The constructor normalises
-    outside input with a full gcd.  The arithmetic takes canonical operands
+    outside input with a full gcd, and ``_trusted`` takes a fraction known
+    to be canonical as it is.  The arithmetic takes canonical operands
     to a canonical result through ``_make``, with Henrici's gcd splitting
     (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), which takes a gcd only where
     a common factor can remain:
@@ -138,12 +141,18 @@ class _Quotient:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _trusted(cls, field, num, den):
+        """num/den for num and den already canonical (coprime, den monic, 1 for 0), unchecked."""
+        q = object.__new__(cls)
+        q.field, q.num, q.den = field, num, den
+        return q
+
     def _make(self, num, den):
         """num/den of this type and field, for num and den already coprime, den monic."""
-        q = object.__new__(type(self))
-        q.field, q.num = self.field, num
-        q.den = num.one(num.field) if num.is_zero() and not den.is_one() else den
-        return q
+        if num.is_zero() and not den.is_one():
+            den = num.one(num.field)
+        return self._trusted(self.field, num, den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -410,21 +419,8 @@ class CoverMap:
 # polynomials and rational functions in x over K
 
 
-class _PolyRing:
-    """k[var] as the coefficient ring of the XPolys that ``XPoly.cleared`` returns."""
-
-    def __init__(self, constants):
-        self.constants, self.zero, self.one = constants, Poly.zero(constants), Poly.one(constants)
-
-    def __eq__(self, other):
-        return isinstance(other, _PolyRing) and self.constants == other.constants
-
-    def __hash__(self):
-        return hash(self.constants)
-
-
 class XPoly(_DensePoly):
-    """Polynomial in x over K = k(t), or over k[t] once ``cleared`` (ring operations only)."""
+    """Polynomial in x over K = k(t)."""
 
     __slots__ = ()
 
@@ -465,20 +461,12 @@ class XPoly(_DensePoly):
                 r[i + j] = r[i + j] - c * oc
         return XPoly(self.field, q), XPoly(self.field, r[:d])
 
-    def cleared(self):
-        """(P, den) with self = P/den, P over k[t] and den the monic lcm of denominators."""
-        den = Poly.one(self.field.constants)
-        for c in self.coeffs:
-            den = den * den.cofactors(c.den)[2]
-        nums = [c.num if c.den == den else c.num * (den // c.den) for c in self.coeffs]
-        return XPoly(_PolyRing(self.field.constants), nums), den
-
     def gcd(self, other):
-        """Monic gcd over K by a primitive remainder sequence in k[t][x] (Gauss's lemma)."""
-        a, b = _primitive(self.cleared()[0]), _primitive(other.cleared()[0])
+        """Monic gcd over K by Euclid's algorithm."""
+        a, b = self, other
         while not b.is_zero():
-            a, b = b, _primitive(_prem(a, b))
-        return XPoly(self.field, [FieldElement(self.field, c, a.leading) for c in a.coeffs])
+            a, b = b, a % b
+        return a.monic()
 
     def map_coeffs(self, fn, field=None):
         """Apply fn to each coefficient (e.g. d/dt, or a cover pullback)."""
@@ -507,28 +495,6 @@ class XPoly(_DensePoly):
                 else:
                     parts.append("(%s)*%s" % (c, xi))
         return " + ".join(parts)
-
-
-def _primitive(p: XPoly) -> XPoly:
-    """p over k[t] divided by its content (``Poly.gcd``), its lc made monic in t."""
-    g = p.leading
-    for c in p.coeffs:
-        g = g if g.is_constant() else g.gcd(c)
-    g = g.monic().scale(p.leading.leading)
-    return p if g.is_one() else XPoly(p.field, [c // g for c in p.coeffs])
-
-
-def _prem(a: XPoly, b: XPoly) -> XPoly:
-    """lc(b)^k a mod b over k[t], k the number of reduction steps (0 if deg a < deg b)."""
-    r, lb, db = list(a.coeffs), b.leading, b.degree
-    while len(r) > db:
-        d, c = len(r) - 1 - db, r.pop()
-        r = r if lb.is_one() else [lb * x for x in r]
-        for j in range(db):
-            r[d + j] = r[d + j] - c * b.coeffs[j]
-        while r and r[-1].is_zero():
-            r.pop()
-    return XPoly(a.field, r)
 
 
 class RatX(_Quotient):

@@ -188,6 +188,21 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
     The witness F = y N(x)/f(x)^2 comes from ``_witness``, whose residual
     test is the whole of what ``verify_pf`` would check, so the operator is
     returned verified; a failed residual raises ConsistencyError.
+
+    Its canonical form needs no gcd of N with f^2: gcd(N, f^2) = g^2 for
+    g = gcd(f, f_t), the product of the x - e over the roots e of f (in an
+    algebraic closure of K) that are constant in t (f_t = d f/dt,
+    ' = d/dx).  At a root e of f the
+    witness equation N' f - (3/2) N f' = R reads -(3/2) N(e) f'(e) =
+    (3A/4) f_t(e)^2, so N(e) = -(A/2) f_t(e)^2/f'(e), which vanishes
+    exactly when f_t(e) does (A != 0, and f'(e) != 0 as f is squarefree).
+    Differentiating f(e(t), t) = 0 gives f'(e) e' + f_t(e) = 0, so f_t(e) = 0
+    exactly when e is constant, and then f_tt(e) = 0 as well.  At such an e
+    the x-derivative of the equation gives -(1/2) N'(e) f'(e) =
+    -(A/2) f_tt(e) f'(e), so N'(e) = A f_tt(e) = 0; f is squarefree, so
+    (x - e)^2 is the whole common factor there.  So y (N/g^2)/(f/g)^2 is
+    canonical, and one gcd of the cubic with f_t (degree at most 2) is all
+    it takes.  On Legendre, g = x(x - 1).
     """
     if pole_bound < 0:
         raise InputError("pole_bound must be nonnegative, got %d" % pole_bound)
@@ -222,7 +237,9 @@ def find_pf(E: WeierstrassModel, pole_bound: int = 4) -> PFOperator:
     if not ok:
         raise ConsistencyError("solved operator failed verification on %s" % E)
     f = E.cubic()
-    L = PFOperator(A, B, C, CurveFunction(E, RatX(K, XPoly.zero(K)), RatX(K, N, f * f)))
+    g = f.gcd(f.map_coeffs(FieldElement.derive))
+    ry = RatX._trusted(K, N // (g * g), (f // g) ** 2)
+    L = PFOperator(A, B, C, CurveFunction(E, RatX(K, XPoly.zero(K)), ry))
     L._verified = True  # the residual test of _witness is all verify_pf would run
     return L
 
@@ -233,6 +250,10 @@ def pullback_pf(L: PFOperator, phi: CoverMap) -> PFOperator:
     With t = r(u): A~ = (A o r)/r'^2, B~ = (B o r)/r' - (A o r) r''/r'^3,
     C~ = C o r, F~ = F with coefficients pulled back: L in d/dt = d/du / r'.
     The result is exact iff L is; ``verify_pf`` reads that off L when asked.
+    The pullback is an injective ring map K -> K~ that sends 1 to 1, so it
+    takes the canonical fractions of F to canonical ones (a Bezout identity
+    to a Bezout identity, a monic denominator to a monic one), and
+    ``CurveFunction.map_coeffs`` builds F~ without a gcd.
     """
     r = phi.image
     rp = r.derive()

@@ -131,9 +131,6 @@ class Rationals:
             raise ZeroDivisionError("division by zero in Q")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return self.inv(b) * a
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -167,9 +164,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("division by zero in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -458,14 +452,6 @@ class Poly(_DensePoly):
             if a is None or any(r):
                 return k
             k += 1
-
-    def evaluate(self, point):
-        """Evaluate at a raw constant via Horner."""
-        f = self.field
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.from_int(acc * point + c)
-        return acc
 
     # -- normal forms
 

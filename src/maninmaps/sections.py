@@ -36,16 +36,6 @@ class GradedSection:
     def is_zero(self) -> bool:
         return self.value.is_zero()
 
-    def __mul__(self, other: "GradedSection") -> "GradedSection":
-        if self.model != other.model:
-            raise InputError("sections on different models")
-        return GradedSection(
-            self.value * other.value,
-            self.weight + other.weight,
-            self.diff_degree + other.diff_degree,
-            self.model,
-        )
-
     def __str__(self):
         return "(%s) of weight %d, differential degree %d" % (
             self.value, self.weight, self.diff_degree,

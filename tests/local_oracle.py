@@ -54,7 +54,7 @@ class Residue:
         if self.place.is_infinity:
             if f.num.degree < f.den.degree:
                 return self.constants.zero
-            return self.constants.div(f.num.leading, f.den.leading)
+            return self.constants.from_int(f.num.leading * self.constants.inv(f.den.leading))
         pi = self.place.pi
         return f.num % pi * self.inv(f.den % pi) % pi
 
@@ -159,7 +159,7 @@ def intersection_with_zero(E: WeierstrassModel, P, v) -> int:
     """
     if P.is_zero:
         raise InputError("the zero section meets itself everywhere")
-    if kodaira_type(E, v).is_additive:
+    if not kodaira_type(E, v).is_semistable:
         raise HypothesisError(
             "intersection with the zero section needs semistable reduction at %s" % v
         )

@@ -93,13 +93,6 @@ def derivative(a):
     return poly([i * c for i, c in enumerate(a)][1:])
 
 
-def evaluate(a, point):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * point + c
-    return acc
-
-
 def to_str(a, var: str) -> str:
     if not a:
         return "0"

@@ -39,7 +39,7 @@ def _sqrt_series(F, h, n):
     s = [F.from_int(1)]
     for k in range(1, n):
         acc = h[k] - sum((s[j] * s[k - j] for j in range(1, k)), F.from_int(0))
-        s.append(F.div(acc, F.from_int(2)))
+        s.append(F.from_int(acc * F.inv(F.from_int(2))))
     return s
 
 

@@ -7,10 +7,10 @@
   denominator;
 - ``parse`` reads back what ``str`` prints, for field elements and for
   x-polynomials;
-- ``XPoly.gcd`` (a primitive remainder sequence on cleared numerators in
-  k[t][x]) equals Euclid's algorithm over K from ``xpoly_oracle`` on drawn
-  ``g*u`` and ``g*w``, and feeds only primitive polynomials to each
-  pseudo-division.
+- ``XPoly.gcd`` (Euclid's algorithm over K) equals the primitive remainder
+  sequence on cleared numerators in k[t][x] from ``xpoly_oracle`` on drawn
+  ``g*u`` and ``g*w``, and the oracle feeds only primitive polynomials to
+  each pseudo-division.
 """
 
 import pytest
@@ -19,7 +19,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import maninmaps.funcfield as ff
 from maninmaps import FunctionField, PrimeField, QQ, RatX, XPoly, parse
 
 import xpoly_oracle
@@ -126,12 +125,13 @@ def test_xpoly_gcd_matches_euclid(data, name):
     g = data.draw(xpoly(K, 2))
     u, w = data.draw(xpoly(K, 2)), data.draw(xpoly(K, 3))
     a, b = g * u, g * w
-    want = xpoly_oracle.euclid_gcd(a, b)
     divisions = []
-    inner = ff._prem
+    inner = xpoly_oracle._prem
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ff, "_prem", lambda x, y: divisions.append((x, y)) or inner(x, y))
-        assert a.gcd(b) == want and b.gcd(a) == want
+        mp.setattr(xpoly_oracle, "_prem", lambda x, y: divisions.append((x, y)) or inner(x, y))
+        want = xpoly_oracle.prs_gcd(a, b)
+        assert xpoly_oracle.prs_gcd(b, a) == want
+    assert a.gcd(b) == want and b.gcd(a) == want
     # every pseudo-division gets primitive operands: the t-content is removed
     assert all(_is_primitive(x) and _is_primitive(y) for x, y in divisions)
     if not g.is_zero() and not (u.is_zero() and w.is_zero()):

@@ -494,7 +494,7 @@ def _local_mismatches(E, P, seen):
                 mismatches.append(("component_order", E, n, P, v))
             if kt.is_semistable and kt.m >= 2:
                 seen.add("component order")
-            elif order == "refused" and kt.is_additive:
+            elif order == "refused" and not kt.is_semistable:
                 seen.add("additive refusal")
     return mismatches
 

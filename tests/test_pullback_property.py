@@ -6,6 +6,11 @@ the cover's coefficients.  ``pf_oracle.witness_exact`` solves it there
 anyway.  Over random non-constant covers t = r(u), r of degree at most 2 on
 top and bottom, the two must agree on the Legendre operator (exact), on a
 perturbation C + c with c != 0 (not exact), and on pullbacks of pullbacks.
+
+``pullback_pf`` builds the pulled-back witness without a gcd, as the
+pullback is an injective ring map sending 1 to 1; it must equal the witness
+that the normalising constructor ``RatX(K, num, den)`` rebuilds from the
+mapped numerators and denominators.
 """
 
 import pytest
@@ -14,7 +19,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maninmaps import CoverMap, FunctionField, PFOperator, QQ, pullback_pf, verify_pf
+from maninmaps import (
+    CoverMap,
+    CurveFunction,
+    FunctionField,
+    PFOperator,
+    QQ,
+    RatX,
+    pullback_pf,
+    verify_pf,
+)
 
 import pf_oracle
 from conftest import legendre_operator
@@ -36,6 +50,16 @@ def cover(K, base, num, den):
     return CoverMap(K, base, r)
 
 
+def normalised_pullback(F, phi, model):
+    """F with coefficients pulled back along phi, each fraction through ``RatX``'s gcd."""
+    K = model.field
+
+    def image(r):
+        return RatX(K, r.num.map_coeffs(phi.pullback, K), r.den.map_coeffs(phi.pullback, K))
+
+    return CurveFunction(model, image(F.rx), image(F.ry))
+
+
 @settings(max_examples=20, deadline=None)
 @given(quadratic, quadratic, quadratic, quadratic, shift)
 def test_transported_answer_matches_the_witness_on_the_cover(num, den, num2, den2, c):
@@ -46,6 +70,8 @@ def test_transported_answer_matches_the_witness_on_the_cover(num, den, num2, den
     for source, want in ((L, True), (bad, False)):
         Lu = pullback_pf(source, phi)
         Lv = pullback_pf(Lu, psi)
+        assert Lu.F == normalised_pullback(source.F, phi, Lu.F.model)
+        assert Lv.F == normalised_pullback(Lu.F, psi, Lv.F.model)
         # the pullback of a pullback first, so its answer comes through Lu unverified
         for Lc in (Lv, Lu):
             Ec = Lc.F.model

@@ -184,7 +184,7 @@ def field_poly(F, cs):
     """cs (Fractions with denominators prime to p) as a polynomial over F."""
     if not F.char:
         return Poly(F, cs)
-    return Poly(F, [F.div(F.from_int(c.numerator), F.from_int(c.denominator)) for c in cs])
+    return Poly(F, [F.from_int(c.numerator * F.inv(F.from_int(c.denominator))) for c in cs])
 
 
 def sympy_cofactors(F, a, b):

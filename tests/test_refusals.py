@@ -190,10 +190,6 @@ REFUSALS = [
     ("sections", "value-over-another-field",
      lambda: GradedSection(f5().gen, -1, 2, legendre(qt())),
      InputError, "section value and model live over different fields"),
-    ("sections", "product-across-models",
-     lambda: GradedSection(qt().one, 1, 0, legendre(qt()))
-     * GradedSection(qt().one, 1, 0, legendre(qt()).rescale(qt().from_int(2))),
-     InputError, "sections on different models"),
     ("pdescent", "scan-of-the-zero-section",
      lambda: tangency_scan(legendre(f5()), CurvePoint.zero(legendre(f5())), 4),
      InputError, "the zero section cannot be scanned"),

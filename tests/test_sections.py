@@ -127,7 +127,7 @@ def test_multiplicativity_of_divisors():
     E, _ = legendre(K).depress()
     a4 = GradedSection(E.a4, 4, 0, E)
     lam = kodaira_spencer_section(E)
-    prod = a4 * lam
+    prod = GradedSection(a4.value * lam.value, 4 + lam.weight, lam.diff_degree, E)
     assert prod.weight == 2 and prod.diff_degree == 1
     d1, d2, dp = divisor(a4), divisor(lam), divisor(prod)
     for v in set(d1.support()) | set(d2.support()) | set(dp.support()):

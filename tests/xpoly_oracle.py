@@ -2,8 +2,10 @@
 
 These are bodies the library used before, kept to check what replaced them:
 
-- ``euclid_gcd``: Euclid's algorithm with FieldElement coefficients, which
-  the primitive remainder sequence of ``XPoly.gcd`` replaced;
+- ``prs_gcd``: the monic gcd over K(t) by a primitive remainder sequence on
+  numerators cleared into k[t][x] (``cleared``, Gauss's lemma), which
+  ``XPoly.gcd`` ran until the witnesses became canonical by construction and
+  Euclid's algorithm over K took its place again;
 - ``exactness_holds``: the exactness check by cross-multiplying
   x-polynomials over K(t), every partial product normalised by a gcd in
   K[t], which is what made it slow;
@@ -15,14 +17,60 @@ argument behind ``maninmap._witness``, so ``verify_pf`` is compared against
 them.
 """
 
-from maninmaps import Poly, XPoly
+from maninmaps import FieldElement, Poly, XPoly
 
 
-def euclid_gcd(a: XPoly, b: XPoly) -> XPoly:
-    """Monic gcd over K(t) by Euclid's algorithm on field coefficients."""
+class PolyRing:
+    """k[var] as the coefficient ring of the XPolys that ``cleared`` returns."""
+
+    def __init__(self, constants):
+        self.constants, self.zero, self.one = constants, Poly.zero(constants), Poly.one(constants)
+
+    def __eq__(self, other):
+        return isinstance(other, PolyRing) and self.constants == other.constants
+
+    def __hash__(self):
+        return hash(self.constants)
+
+
+def cleared(p: XPoly):
+    """(P, den) with p = P/den, P over k[t] and den the monic lcm of denominators."""
+    den = Poly.one(p.field.constants)
+    for c in p.coeffs:
+        den = den * den.cofactors(c.den)[2]
+    nums = [c.num if c.den == den else c.num * (den // c.den) for c in p.coeffs]
+    return XPoly(PolyRing(p.field.constants), nums), den
+
+
+def prs_gcd(a: XPoly, b: XPoly) -> XPoly:
+    """Monic gcd over K by a primitive remainder sequence in k[t][x] (Gauss's lemma)."""
+    field = a.field
+    a, b = _primitive(cleared(a)[0]), _primitive(cleared(b)[0])
     while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+        a, b = b, _primitive(_prem(a, b))
+    return XPoly(field, [FieldElement(field, c, a.leading) for c in a.coeffs])
+
+
+def _primitive(p: XPoly) -> XPoly:
+    """p over k[t] divided by its content (``Poly.gcd``), its lc made monic in t."""
+    g = p.leading
+    for c in p.coeffs:
+        g = g if g.is_constant() else g.gcd(c)
+    g = g.monic().scale(p.leading.leading)
+    return p if g.is_one() else XPoly(p.field, [c // g for c in p.coeffs])
+
+
+def _prem(a: XPoly, b: XPoly) -> XPoly:
+    """lc(b)^k a mod b over k[t], k the number of reduction steps (0 if deg a < deg b)."""
+    r, lb, db = list(a.coeffs), b.leading, b.degree
+    while len(r) > db:
+        d, c = len(r) - 1 - db, r.pop()
+        r = r if lb.is_one() else [lb * x for x in r]
+        for j in range(db):
+            r[d + j] = r[d + j] - c * b.coeffs[j]
+        while r and r[-1].is_zero():
+            r.pop()
+    return XPoly(a.field, r)
 
 
 def exactness_holds(E, L) -> bool:
@@ -57,7 +105,7 @@ def exactness_holds(E, L) -> bool:
 
 
 def _dx(p: XPoly) -> XPoly:
-    """d/dx of an x-polynomial over k[t], as ``XPoly.cleared`` returns."""
+    """d/dx of an x-polynomial over k[t], as ``cleared`` returns."""
     k = p.field.constants
     return XPoly(p.field, [c.scale(k.from_int(i)) for i, c in enumerate(p.coeffs)][1:])
 
@@ -82,10 +130,10 @@ def cleared_exactness_holds(E, L) -> bool:
     2 nu NL~ D^2 = 4 alpha beta gamma delta eta RN~ F^2.  rx = P/Q is
     constant in x iff the Wronskian P'Q - P Q' of its cleared parts is 0.
     """
-    P, Q = L.F.rx.num.cleared()[0], L.F.rx.den.cleared()[0]
+    P, Q = cleared(L.F.rx.num)[0], cleared(L.F.rx.den)[0]
     if not (_dx(P) * Q - P * _dx(Q)).is_zero():
         return False
-    F, delta = E.cubic().cleared()
+    F, delta = cleared(E.cubic())
     k = E.field.constants
     two, three, four = (Poly.const(k, k.from_int(n)) for n in (2, 3, 4))
     d_t = lambda p: p.map_coeffs(lambda c: c.derivative())  # noqa: E731
@@ -97,7 +145,7 @@ def cleared_exactness_holds(E, L) -> bool:
         - (G * F).scale(two * b * alpha * gamma * delta)
         + (F * F).scale(four * c * alpha * beta * delta * delta)
     )
-    (N, nu), (D, eta) = L.F.ry.num.cleared(), L.F.ry.den.cleared()
+    (N, nu), (D, eta) = cleared(L.F.ry.num), cleared(L.F.ry.den)
     RN = (_dx(N) * D - N * _dx(D)) * F.scale(two) + N * D * _dx(F)
     return (NL * D * D).scale(two * nu) == (RN * F * F).scale(
         four * alpha * beta * gamma * delta * eta
